@@ -9,6 +9,8 @@ simulator quantifies the strategy against the traditional
 swap-along-a-path baseline.
 """
 
+__version__ = "0.1.0"
+
 from .errors import (
     CapacityError,
     InternalAssertionError,
@@ -16,75 +18,8 @@ from .errors import (
     UnknownVertexError,
     ValidationError,
 )
-from .graph import (
-    InterQlanGraph,
-    LabeledVertex,
-    Neighborhood,
-    Qlan,
-    Role,
-    client,
-    client_graph,
-    complement_graph,
-    complement_neighborhood,
-    delete_vertex,
-    graph_from_json,
-    graph_to_json,
-    local_complement,
-    make_edge,
-    neighbors,
-    super_node,
-    to_dot,
-    vertex_from_name,
-)
-from .oracle import (
-    MeasurementOutcome,
-    QuantumState,
-    VerificationReport,
-    apply_x_corrections,
-    fidelity,
-    prepare_graph_state,
-    project_x,
-    stabilizer_expectation,
-    verify_pipeline,
-)
-from .routing import (
-    ComparisonReport,
-    PhysicalTopology,
-    RequestSet,
-    RoutingReport,
-    compare,
-    execute_complement,
-    find_path,
-    run_complement,
-    run_tqr,
-)
-from .scenario import (
-    Scenario,
-    load_bundled_scenario,
-    load_scenario,
-    parse_scenario,
-    random_scenario,
-    scenario_graph,
-    scenario_requests,
-    scenario_topology,
-)
-from .switching import (
-    AugmentationCase,
-    AugmentedGraph,
-    MeasurementRecord,
-    augment_case1,
-    augment_case2,
-    default_k0,
-    eligible_k0,
-    measure_x,
-    promote_super,
-    records_to_json,
-    replay_records,
-    run_case1,
-    run_case2,
-    run_measurement_sequence,
-    run_partial,
-    run_pipeline,
-)
-
-__version__ = "0.1.0"
+from .graph import client_graph
+from .oracle import replay_records, verify_pipeline
+from .routing import compare, execute_complement, run_tqr
+from .scenario import load_scenario, scenario_graph, scenario_requests, scenario_topology
+from .switching import augment_case1, augment_case2, run_pipeline

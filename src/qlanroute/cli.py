@@ -17,10 +17,12 @@ import os
 import random
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import click
 
+from . import __version__
 from .errors import CapacityError, InternalAssertionError, ValidationError
 from .graph import InterQlanGraph, complement_graph, graph_to_json, make_edge, to_dot, vertex_from_name
 from .oracle import verify_pipeline
@@ -85,8 +87,6 @@ def _resolve_scenario(ref: str) -> Scenario:
 
 
 def _apply_overrides(sc: Scenario, case: str | None, retain: str | None, seed: int | None) -> Scenario:
-    from dataclasses import replace
-
     updates = {}
     if case is not None:
         updates["case"] = case
@@ -97,10 +97,19 @@ def _apply_overrides(sc: Scenario, case: str | None, retain: str | None, seed: i
     return replace(sc, **updates) if updates else sc
 
 
-def _augment(sc: Scenario, g):
-    retained = retained_vertices(sc)
+def _switch(scenario_ref: str, seed: int | None, case: str | None, retain: str | None,
+            k0_name: str | None):
+    """Resolve the scenario, apply the overrides, augment its graph and run the switch.
+
+    Returns ``(scenario, client graph, augmented graph, final graph, records)``.
+    """
+    sc = _apply_overrides(_resolve_scenario(scenario_ref), case, retain, seed)
+    g = scenario_graph(sc)
     build = augment_case1 if sc.augmentation_case is AugmentationCase.CASE_I else augment_case2
-    return build(g, retained)
+    aug = build(g, retained_vertices(sc))
+    k0 = vertex_from_name(k0_name) if k0_name else None
+    final, records = run_pipeline(aug, k0)
+    return sc, g, aug, final, records
 
 
 scenario_option = click.option("--scenario", "scenario_ref", required=True,
@@ -122,7 +131,7 @@ normalize_option = click.option("--normalize", is_flag=True,
 
 
 @click.group()
-@click.version_option(package_name="qlanroute")
+@click.version_option(version=__version__)
 def main() -> None:
     """Graph-complement switching and routing comparison for two-QLAN networks."""
 
@@ -139,11 +148,7 @@ def main() -> None:
 @_guarded
 def cmd_complement(scenario_ref, out_dir, seed, case, retain, k0_name, fmt, oracle):
     """Run the super-node measurement pipeline and write the switched graph."""
-    sc = _apply_overrides(_resolve_scenario(scenario_ref), case, retain, seed)
-    g = scenario_graph(sc)
-    aug = _augment(sc, g)
-    k0 = vertex_from_name(k0_name) if k0_name else None
-    final, records = run_pipeline(aug, k0)
+    sc, g, aug, final, records = _switch(scenario_ref, seed, case, retain, k0_name)
     out = Path(out_dir)
     _write_json(out / "result_graph.json", graph_to_json(final))
     _write_json(out / "trace.json", records_to_json(records))
@@ -202,11 +207,7 @@ def cmd_complement(scenario_ref, out_dir, seed, case, retain, k0_name, fmt, orac
 @_guarded
 def cmd_verify(scenario_ref, out_dir, seed, case, retain, k0_name, normalize, corrupt):
     """Replay the pipeline on the state-vector oracle over every outcome branch."""
-    sc = _apply_overrides(_resolve_scenario(scenario_ref), case, retain, seed)
-    g = scenario_graph(sc)
-    aug = _augment(sc, g)
-    k0 = vertex_from_name(k0_name) if k0_name else None
-    final, records = run_pipeline(aug, k0)
+    _, _, aug, final, records = _switch(scenario_ref, seed, case, retain, k0_name)
     claimed = final
     if corrupt:
         clients = final.clients()

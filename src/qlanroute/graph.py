@@ -12,7 +12,7 @@ their inputs, so callers can keep pre/post snapshots for verification.
 Edges are stored canonically, one entry per undirected edge, ordered by
 vertex sort key; which QLAN each endpoint belongs to is carried by the
 vertex labels, not by storage order. Intermediate graphs produced by the
-measurement pipelines may legitimately contain intra-QLAN edges, so
+measurement pipeline may legitimately contain intra-QLAN edges, so
 bipartiteness of inter-links is validated only at pipeline boundaries
 (see :func:`validate_client_graph`), not in the constructor.
 """
@@ -147,7 +147,7 @@ class InterQlanGraph:
     The constructor canonicalizes edges and enforces only structural
     sanity (endpoints present, no self-loops, unique (qlan, index)
     positions, at most one super-node per QLAN). Cross-QLAN-only linking
-    is a boundary condition of the pipelines, not of the type, because
+    is a boundary condition of the pipeline, not of the type, because
     local complementation legitimately creates intra-QLAN edges on
     intermediate graphs.
     """
@@ -175,14 +175,6 @@ class InterQlanGraph:
                     raise UnknownVertexError(f"edge endpoint {end.name} is not a vertex of the graph")
 
     # -- views ---------------------------------------------------------
-
-    @property
-    def v1(self) -> frozenset[LabeledVertex]:
-        return frozenset(v for v in self.vertices if v.qlan is Qlan.Q1)
-
-    @property
-    def v2(self) -> frozenset[LabeledVertex]:
-        return frozenset(v for v in self.vertices if v.qlan is Qlan.Q2)
 
     def clients(self, qlan: Qlan | None = None) -> tuple[LabeledVertex, ...]:
         sel = [v for v in self.vertices if not v.is_super and (qlan is None or v.qlan is qlan)]
@@ -287,7 +279,7 @@ def complement_graph(g: InterQlanGraph) -> InterQlanGraph:
     """The complement Inter-QLAN: same clients, exactly the missing cross pairs.
 
     This is the declarative reference answer that the measurement
-    pipelines must reproduce. Defined on the client-only graph; raises if
+    pipeline must reproduce. Defined on the client-only graph; raises if
     a super-node is present.
     """
     if g.supers():
@@ -299,10 +291,6 @@ def complement_graph(g: InterQlanGraph) -> InterQlanGraph:
         if not g.has_edge(a, b)
     }
     return InterQlanGraph(g.vertices, frozenset(edges))
-
-
-def is_client_only(g: InterQlanGraph) -> bool:
-    return not g.supers()
 
 
 def validate_client_graph(g: InterQlanGraph) -> None:

@@ -35,7 +35,7 @@ by the fidelity sweep in the test suite.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Sequence
 
@@ -98,7 +98,6 @@ class MeasurementOutcome:
     vertex: LabeledVertex
     basis: str
     result: int
-    correction_applied: str = ""
 
     def __post_init__(self) -> None:
         if self.result not in (+1, -1):
@@ -326,7 +325,13 @@ class VerificationReport:
         }
 
 
-def _check_records(g: InterQlanGraph, records: Sequence[MeasurementRecord]) -> None:
+def replay_records(g: InterQlanGraph, records: Sequence[MeasurementRecord]) -> InterQlanGraph:
+    """Re-apply each recorded step from ``g`` and check it reproduces its post graph.
+
+    Returns the final graph; raises ValidationError on an empty list or an
+    inconsistent chain (a step that does not start from the running graph,
+    or a post graph that does not match the rule).
+    """
     if not records:
         raise ValidationError("verification needs at least one measurement record")
     cur = g
@@ -335,12 +340,12 @@ def _check_records(g: InterQlanGraph, records: Sequence[MeasurementRecord]) -> N
             raise ValidationError(
                 f"inconsistent records: step {r.step_index} does not start from the running graph"
             )
-        post, _ = measure_x(cur, r.measured_vertex, r.special_neighbor, r.step_index)
-        if post != r.post_graph:
+        cur, _ = measure_x(cur, r.measured_vertex, r.special_neighbor, r.step_index)
+        if cur != r.post_graph:
             raise ValidationError(
                 f"inconsistent records: step {r.step_index} post graph does not match the rule"
             )
-        cur = post
+    return cur
 
 
 def verify_pipeline(
@@ -361,7 +366,7 @@ def verify_pipeline(
         raise CapacityError(
             f"{len(g.vertices)} qubits exceed the {MAX_QUBITS}-qubit capacity; use a smaller graph"
         )
-    _check_records(g, pipeline)
+    replay_records(g, pipeline)
     if branches is None:
         branches = list(product((+1, -1), repeat=len(pipeline)))
     t0 = time.perf_counter()
@@ -401,13 +406,3 @@ def verify_pipeline(
         tolerance=FIDELITY_TOL,
         wall_time_s=time.perf_counter() - t0,
     )
-
-
-def measurement_outcome_with_corrections(
-    outcome: MeasurementOutcome,
-    g_pre: InterQlanGraph,
-    k0: LabeledVertex,
-) -> MeasurementOutcome:
-    """Attach the correction description to a sampled outcome."""
-    ops = x_correction_ops(g_pre, outcome.vertex, k0, outcome.result)
-    return replace(outcome, correction_applied=describe_corrections(ops))

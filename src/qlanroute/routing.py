@@ -243,7 +243,6 @@ def execute_complement(
     reqs: RequestSet,
     case: AugmentationCase = AugmentationCase.CASE_I,
     retain: Iterable = (),
-    k0=None,
     run_when_empty: bool = True,
 ) -> ComplementRun:
     """Run the proactive strategy and keep the pipeline artifacts.
@@ -265,7 +264,7 @@ def execute_complement(
         return ComplementRun(report, None, None, ())
     retained = frozenset(retain)
     aug = (augment_case1 if case is AugmentationCase.CASE_I else augment_case2)(g, retained)
-    final, records = run_pipeline(aug, k0)
+    final, records = run_pipeline(aug)
     served: list[int] = []
     failed: list[tuple[int, str]] = []
     for (i, u, v) in resolved:
@@ -286,17 +285,6 @@ def execute_complement(
         comm_qubit_peak=peak,
     )
     return ComplementRun(report, aug, final, tuple(records))
-
-
-def run_complement(
-    g: InterQlanGraph,
-    reqs: RequestSet,
-    case: AugmentationCase = AugmentationCase.CASE_I,
-    retain: Iterable = (),
-    k0=None,
-    run_when_empty: bool = True,
-) -> RoutingReport:
-    return execute_complement(g, reqs, case, retain, k0, run_when_empty).report
 
 
 @dataclass(frozen=True)
@@ -323,7 +311,6 @@ def compare(
     reqs: RequestSet,
     case: AugmentationCase = AugmentationCase.CASE_I,
     retain: Iterable = (),
-    k0=None,
     run_when_empty: bool = True,
 ) -> ComparisonReport:
     """Run both strategies on one scenario and tabulate the four axes."""
@@ -334,7 +321,7 @@ def compare(
             f"scenario mismatch: physical and artificial node sets differ at {missing}"
         )
     tqr_report = run_tqr(topo, reqs)
-    comp_report = run_complement(g, reqs, case, retain, k0, run_when_empty)
+    comp_report = execute_complement(g, reqs, case, retain, run_when_empty).report
     ratio = tqr_report.rounds / comp_report.rounds if comp_report.rounds else float("inf")
     axes = (
         {"axis": "key_operation", "tqr": "path selection", "complement": "graph manipulation"},

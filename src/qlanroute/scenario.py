@@ -184,7 +184,7 @@ def load_scenario(path: str | Path) -> Scenario:
     path = Path(path)
     try:
         text = path.read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read scenario file {path}: {exc}") from None
     try:
         data = json.loads(text)
@@ -192,6 +192,8 @@ def load_scenario(path: str | Path) -> Scenario:
         raise ValidationError(
             f"{path}: JSON parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from None
+    except RecursionError:
+        raise ValidationError(f"{path}: JSON nesting is too deep to parse") from None
     return parse_scenario(data, source=str(path))
 
 
@@ -226,21 +228,26 @@ def retained_vertices(sc: Scenario) -> tuple[LabeledVertex, ...]:
 # -- random scenarios (sweeps) -------------------------------------------
 
 
-def random_scenario(
-    seed: int,
-    n1: int = 3,
-    n2: int = 4,
-    link_prob: float = 0.5,
-    extra_physical_prob: float = 0.3,
-    max_requests: int | None = None,
-    case: str = "I",
-) -> Scenario:
+RANDOM_LINK_PROB = 0.5
+RANDOM_EXTRA_PHYSICAL_PROB = 0.3
+
+
+def random_scenario(seed: int, n1: int = 3, n2: int = 4) -> Scenario:
     """Seed-deterministic scenario: random inter-links, a connected random
     physical topology, single-qubit nodes, and requests drawn from the
-    complement pairs."""
+    complement pairs.
+
+    Needs at least one client per QLAN and two client pairs in all
+    (``n1 * n2 >= 2``): the graph keeps at least one inter-link and at
+    least one complement pair to request, which a 1+1 network cannot hold.
+    """
+    if n1 < 1 or n2 < 1 or n1 * n2 < 2:
+        raise ValidationError(
+            f"random scenarios need n1 >= 1, n2 >= 1 and n1 * n2 >= 2, got {n1}+{n2}"
+        )
     rng = random.Random(seed)
     pairs = [(i, j) for i in range(1, n1 + 1) for j in range(1, n2 + 1)]
-    links = [p for p in pairs if rng.random() < link_prob]
+    links = [p for p in pairs if rng.random() < RANDOM_LINK_PROB]
     if not links:  # an Inter-QLAN needs at least one inter-link
         links = [rng.choice(pairs)]
     if len(links) == len(pairs):  # keep at least one complement pair to request
@@ -253,12 +260,11 @@ def random_scenario(
     physical = {(min(a, b), max(a, b)) for a, b in zip(order, order[1:])}
     for a in names:
         for b in names:
-            if a < b and (a, b) not in physical and rng.random() < extra_physical_prob:
+            if a < b and (a, b) not in physical and rng.random() < RANDOM_EXTRA_PHYSICAL_PROB:
                 physical.add((a, b))
 
     complement_pairs = sorted(set(pairs) - set(links))
-    limit = len(complement_pairs) if max_requests is None else min(max_requests, len(complement_pairs))
-    k = rng.randint(1, limit)
+    k = rng.randint(1, len(complement_pairs))
     chosen = rng.sample(complement_pairs, k)
     requests = tuple((f"1.{i}", f"2.{j}") for (i, j) in chosen)
 
@@ -270,7 +276,6 @@ def random_scenario(
         comm_qubits={},
         requests=requests,
         retain=(),
-        case=case,
         seed=seed,
         name=f"random-{seed}",
     )

@@ -1,4 +1,4 @@
-"""Super-node augmentation and the pipelines that switch a network to its complement.
+"""Super-node augmentation and the pipeline that switches a network to its complement.
 
 A pair of super-nodes, one per QLAN and joined by an inter-link, is wired
 into the client population in one of two ways:
@@ -12,6 +12,8 @@ into the client population in one of two ways:
 Measuring the two super-nodes in the X basis, s2 first and then s1 with a
 fixed special neighbor k0, removes them and leaves the clients holding the
 complement topology: remote client pairs become adjacent and vice versa.
+:func:`run_pipeline` is the one entry point for that switch, whichever
+case built the augmented graph and whether or not clients are retained.
 The cost is constant, two measurements, no matter how many clients or
 requests are involved. Clients listed as retained are left out of the
 switch simply by not wiring them to the super-nodes.
@@ -156,8 +158,7 @@ def _check_augmentable(g: InterQlanGraph, retain: Iterable[LabeledVertex]) -> fr
     return retained
 
 
-def augment_case1(g: InterQlanGraph, retain: Iterable[LabeledVertex] = ()) -> AugmentedGraph:
-    """Add fresh super-nodes wired to the opposite QLAN's non-retained clients."""
+def _augment(g: InterQlanGraph, case: AugmentationCase, retain: Iterable[LabeledVertex]) -> AugmentedGraph:
     retained = _check_augmentable(g, retain)
     s1, s2 = super_node(Qlan.Q1), super_node(Qlan.Q2)
     edges = set(g.edges)
@@ -165,23 +166,20 @@ def augment_case1(g: InterQlanGraph, retain: Iterable[LabeledVertex] = ()) -> Au
     for v in g.clients():
         if v in retained:
             continue
-        edges.add(make_edge(v, s2 if v.qlan is Qlan.Q1 else s1))
+        side = v.qlan.other if case is AugmentationCase.CASE_I else v.qlan
+        edges.add(make_edge(v, s1 if side is Qlan.Q1 else s2))
     graph = InterQlanGraph(g.vertices | {s1, s2}, frozenset(edges))
-    return AugmentedGraph(graph, AugmentationCase.CASE_I, retained)
+    return AugmentedGraph(graph, case, retained)
+
+
+def augment_case1(g: InterQlanGraph, retain: Iterable[LabeledVertex] = ()) -> AugmentedGraph:
+    """Add fresh super-nodes wired to the opposite QLAN's non-retained clients."""
+    return _augment(g, AugmentationCase.CASE_I, retain)
 
 
 def augment_case2(g: InterQlanGraph, retain: Iterable[LabeledVertex] = ()) -> AugmentedGraph:
     """Add fresh super-nodes wired to their own QLAN's non-retained clients."""
-    retained = _check_augmentable(g, retain)
-    s1, s2 = super_node(Qlan.Q1), super_node(Qlan.Q2)
-    edges = set(g.edges)
-    edges.add(make_edge(s1, s2))
-    for v in g.clients():
-        if v in retained:
-            continue
-        edges.add(make_edge(v, s1 if v.qlan is Qlan.Q1 else s2))
-    graph = InterQlanGraph(g.vertices | {s1, s2}, frozenset(edges))
-    return AugmentedGraph(graph, AugmentationCase.CASE_II, retained)
+    return _augment(g, AugmentationCase.CASE_II, retain)
 
 
 def promote_super(
@@ -277,7 +275,19 @@ def default_k0(aug: AugmentedGraph) -> LabeledVertex:
     return candidates[0]
 
 
-def _run(aug: AugmentedGraph, k0: LabeledVertex | None) -> tuple[InterQlanGraph, list[MeasurementRecord]]:
+def run_pipeline(
+    aug: AugmentedGraph, k0: LabeledVertex | None = None
+) -> tuple[InterQlanGraph, list[MeasurementRecord]]:
+    """The switch: X-measure s2 then s1 with the special neighbor ``k0``.
+
+    With no retained clients the result is exactly the complement of the
+    client base graph, in either case. Retained clients sit out: the
+    adjacency of non-retained pairs is complemented, and what happens at
+    retained-incident pairs is certified against the state-level oracle
+    rather than asserted here (the sweeps observe that retained clients
+    keep their original inter-links). ``k0`` defaults to
+    :func:`default_k0`; the output never depends on the choice.
+    """
     if k0 is None:
         k0 = default_k0(aug)
     if k0 not in eligible_k0(aug):
@@ -302,59 +312,6 @@ def _run(aug: AugmentedGraph, k0: LabeledVertex | None) -> tuple[InterQlanGraph,
     return g2, [rec1, rec2]
 
 
-def run_case1(aug: AugmentedGraph, k0: LabeledVertex | None = None) -> tuple[InterQlanGraph, list[MeasurementRecord]]:
-    """Case I pipeline: measure s2 then s1; with no retained clients the
-    result is exactly the complement of the client base graph."""
-    if aug.case is not AugmentationCase.CASE_I:
-        raise ValidationError("run_case1 needs a Case I augmented graph")
-    return _run(aug, k0)
-
-
-def run_case2(aug: AugmentedGraph, k0: LabeledVertex | None = None) -> tuple[InterQlanGraph, list[MeasurementRecord]]:
-    """Case II pipeline: same two-measurement switch on the locally wired graph."""
-    if aug.case is not AugmentationCase.CASE_II:
-        raise ValidationError("run_case2 needs a Case II augmented graph")
-    return _run(aug, k0)
-
-
-def run_pipeline(aug: AugmentedGraph, k0: LabeledVertex | None = None) -> tuple[InterQlanGraph, list[MeasurementRecord]]:
-    """Case-appropriate pipeline, full or partial."""
-    if aug.case is AugmentationCase.CASE_I:
-        return run_case1(aug, k0)
-    return run_case2(aug, k0)
-
-
-def run_partial(aug: AugmentedGraph, k0: LabeledVertex | None = None) -> tuple[InterQlanGraph, list[MeasurementRecord]]:
-    """Partial switch: retained clients sit out, the rest is complemented.
-
-    The adjacency of non-retained pairs is contractually complemented;
-    what happens at retained-incident pairs is recorded and certified
-    against the state-level oracle rather than asserted a priori (the
-    sweeps observe that retained clients keep their original inter-links).
-    """
-    if not aug.retained:
-        raise ValidationError("run_partial needs a non-empty retained set")
-    return run_pipeline(aug, k0)
-
-
-def run_measurement_sequence(
-    g: InterQlanGraph,
-    steps: Sequence[tuple[LabeledVertex, LabeledVertex]],
-) -> tuple[InterQlanGraph, list[MeasurementRecord]]:
-    """Experimental: apply X measurements (vertex, k0) in the given order.
-
-    No complement contract attaches to this entry point; it exists so
-    alternative orders and per-step k0 choices can be explored and
-    compared against the contractual pipelines.
-    """
-    records = []
-    cur = g
-    for i, (a, k0) in enumerate(steps):
-        cur, rec = measure_x(cur, a, k0, step_index=i)
-        records.append(rec)
-    return cur, records
-
-
 # -- trace export ------------------------------------------------------
 
 
@@ -377,25 +334,3 @@ def records_to_json(records: Sequence[MeasurementRecord]) -> list[dict]:
         }
         for r in records
     ]
-
-
-def replay_records(records: Sequence[MeasurementRecord]) -> InterQlanGraph:
-    """Re-apply each recorded step and check it reproduces its post graph.
-
-    Returns the final graph; raises ValidationError on an inconsistent
-    chain (gaps between steps or a post graph that does not match).
-    """
-    if not records:
-        raise ValidationError("cannot replay an empty record list")
-    cur = records[0].pre_graph
-    for r in records:
-        if r.pre_graph != cur:
-            raise ValidationError(
-                f"inconsistent records: step {r.step_index} does not start from the previous result"
-            )
-        cur, _ = measure_x(cur, r.measured_vertex, r.special_neighbor, r.step_index)
-        if cur != r.post_graph:
-            raise ValidationError(
-                f"inconsistent records: step {r.step_index} does not reproduce its post graph"
-            )
-    return cur

@@ -21,7 +21,7 @@ from qlanroute.graph import (
     InterQlanGraph,
 )
 from qlanroute.oracle import verify_pipeline
-from qlanroute.routing import PhysicalTopology, RequestSet, compare, run_complement
+from qlanroute.routing import PhysicalTopology, RequestSet, compare, execute_complement
 from qlanroute.scenario import (
     load_bundled_scenario,
     scenario_graph,
@@ -33,9 +33,7 @@ from qlanroute.switching import (
     augment_case1,
     augment_case2,
     eligible_k0,
-    run_case1,
-    run_case2,
-    run_partial,
+    run_pipeline,
 )
 
 from helpers import all_client_graphs, random_client_graph, random_plain_graph
@@ -74,7 +72,7 @@ def test_criterion_1_case1_exhaustive_equality():
                 k0s = eligible_k0(aug)
                 assert len(k0s) == n1
                 for k0 in k0s:
-                    final, records = run_case1(aug, k0)
+                    final, records = run_pipeline(aug, k0)
                     assert final == reference
                     assert len(records) == 2
                     runs += 1
@@ -98,7 +96,7 @@ def test_criterion_2_case2_exhaustive_equality():
                 k0s = eligible_k0(aug)
                 assert len(k0s) == n2
                 for k0 in k0s:
-                    final, _ = run_case2(aug, k0)
+                    final, _ = run_pipeline(aug, k0)
                     assert final == reference
                     runs += 1
         print(f"  {runs} pipeline runs", end=" ")
@@ -125,8 +123,7 @@ def test_criterion_3_oracle_certification_with_negative_control():
         rng = random.Random(2025)
         for instance in range(200):
             g, aug, k0 = _random_oracle_instance(rng)
-            run = run_case1 if aug.case is AugmentationCase.CASE_I else run_case2
-            final, records = run(aug, k0)
+            final, records = run_pipeline(aug, k0)
             assert final == complement_graph(g)
             report = verify_pipeline(aug.graph, records, final)
             assert len(report.branches) == 4
@@ -135,8 +132,7 @@ def test_criterion_3_oracle_certification_with_negative_control():
 
         # negative control: one toggled edge in the claimed graph
         g, aug, k0 = _random_oracle_instance(rng)
-        run = run_case1 if aug.case is AugmentationCase.CASE_I else run_case2
-        final, records = run(aug, k0)
+        final, records = run_pipeline(aug, k0)
         q1, q2 = final.clients(Qlan.Q1), final.clients(Qlan.Q2)
         toggled = make_edge(q1[0], q2[0])
         corrupted = InterQlanGraph(final.vertices, frozenset(set(final.edges) ^ {toggled}))
@@ -165,7 +161,7 @@ def test_criterion_4_constant_cost_versus_serialized_baseline():
                 continue
             scenarios += 1
             for k in range(1, len(comp_pairs) + 1):
-                report = run_complement(g, RequestSet(tuple(comp_pairs[:k])))
+                report = execute_complement(g, RequestSet(tuple(comp_pairs[:k]))).report
                 assert report.measurement_count == 2
                 assert report.rounds == 1
                 assert len(report.served) == k and not report.failed
@@ -240,7 +236,7 @@ def test_criterion_6_partial_switch_oracle_certified():
             if not eligible_k0(aug):
                 continue
             scenarios += 1
-            final, records = run_partial(aug)
+            final, records = run_pipeline(aug)
 
             reference = complement_graph(g)
             preserved = True

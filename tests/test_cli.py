@@ -6,7 +6,10 @@ import json
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from qlanroute import __version__
 from qlanroute.cli import main
 from qlanroute.graph import complement_graph, graph_from_json
 from qlanroute.scenario import load_bundled_scenario, scenario_graph
@@ -21,16 +24,28 @@ def invoke(runner, *args):
     return runner.invoke(main, [str(a) for a in args])
 
 
+def assert_one_json_error(result, code):
+    """A documented nonzero exit: the code, one JSON error line on stderr, no traceback."""
+    assert result.exit_code == code, result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit), result.exception
+    assert "Traceback" not in result.output
+    lines = result.stderr.strip().splitlines()
+    assert len(lines) == 1, result.stderr
+    return json.loads(lines[0])["error"]
+
+
+SCENARIO = {
+    "qlan1": 2, "qlan2": 2,
+    "inter_links": [["1.1", "2.1"], ["1.2", "2.2"]],
+    "physical_links": [["1.1", "2.1"], ["2.1", "1.2"], ["1.2", "2.2"]],
+    "requests": [["1.1", "2.2"], ["1.2", "2.1"]],
+    "case": "I",
+    "seed": 4,
+}
+
+
 def write_scenario(tmp_path, name="sc.json", **overrides):
-    data = {
-        "qlan1": 2, "qlan2": 2,
-        "inter_links": [["1.1", "2.1"], ["1.2", "2.2"]],
-        "physical_links": [["1.1", "2.1"], ["2.1", "1.2"], ["1.2", "2.2"]],
-        "requests": [["1.1", "2.2"], ["1.2", "2.1"]],
-        "case": "I",
-        "seed": 4,
-    }
-    data.update(overrides)
+    data = {**SCENARIO, **overrides}
     path = tmp_path / name
     path.write_text(json.dumps(data))
     return path
@@ -95,6 +110,20 @@ def test_complement_k0_override(runner, tmp_path):
                     "--k0", "1.2")
     assert result.exit_code == 0
     assert json.loads((tmp_path / "summary.json").read_text())["k0"] == "1.2"
+
+
+def test_complement_rejects_a_non_utf8_scenario_file(runner, tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff\xfe{}")
+    result = invoke(runner, "complement", "--scenario", path, "--out", tmp_path / "out")
+    assert assert_one_json_error(result, 1)["kind"] == "validation"
+
+
+def test_complement_rejects_a_too_deeply_nested_scenario_file(runner, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    result = invoke(runner, "complement", "--scenario", path, "--out", tmp_path / "out")
+    assert "too deep" in assert_one_json_error(result, 1)["message"]
 
 
 def test_complement_missing_scenario_file(runner, tmp_path):
@@ -198,6 +227,18 @@ def test_sweep_rejects_bad_count(runner, tmp_path):
     assert result.exit_code == 1
 
 
+@pytest.mark.parametrize("sizes", [("--n1", 0), ("--n2", -1), ("--n1", 1, "--n2", 1)])
+def test_sweep_rejects_sizes_random_scenarios_cannot_fill(runner, tmp_path, sizes):
+    result = invoke(runner, "sweep", "--count", 2, "--out", tmp_path, *sizes)
+    assert assert_one_json_error(result, 1)["kind"] == "validation"
+
+
+def test_version_option_prints_the_package_version(runner):
+    result = invoke(runner, "--version")
+    assert result.exit_code == 0
+    assert __version__ in result.output
+
+
 # -- bundled scenarios --------------------------------------------------------
 
 
@@ -215,3 +256,50 @@ def test_every_bundled_scenario_runs_end_to_end_quickly(runner, tmp_path):
         if sc.n1 + sc.n2 + 2 <= 14:
             assert invoke(runner, "verify", "--scenario", name, "--out", out).exit_code == 0
     assert time.perf_counter() - t0 < 60
+
+
+# -- input fuzz ----------------------------------------------------------------
+
+_NAMES = st.sampled_from(["1.1", "1.2", "1.4", "2.1", "2.3", "2.4", "1.0", "3.1", "s1", "x", ""])
+_ANY = st.one_of(st.none(), st.booleans(), st.integers(-3, 5), st.floats(allow_nan=False),
+                 st.text(max_size=4))
+_PAIRS = st.one_of(
+    st.lists(st.lists(_NAMES, min_size=2, max_size=2), max_size=5),
+    st.lists(st.one_of(_NAMES, st.lists(_NAMES, max_size=3)), max_size=3),
+    _ANY,
+)
+_FIELDS = {
+    "qlan1": st.one_of(st.integers(-1, 4), _ANY),
+    "qlan2": st.one_of(st.integers(-1, 4), _ANY),
+    "inter_links": _PAIRS,
+    "physical_links": _PAIRS,
+    "requests": _PAIRS,
+    "comm_qubits": st.one_of(st.dictionaries(_NAMES, st.one_of(st.integers(-1, 3), _ANY),
+                                             max_size=3), _ANY),
+    "retain": st.one_of(st.lists(_NAMES, max_size=3), _ANY),
+    "case": st.one_of(st.sampled_from(["I", "II", "III"]), _ANY),
+    "seed": _ANY,
+    "run_when_empty": _ANY,
+    "name": _ANY,
+    "hops": _ANY,  # not a scenario field
+}
+_OVERRIDE = st.sampled_from(sorted(_FIELDS)).flatmap(lambda k: _FIELDS[k].map(lambda v: (k, v)))
+# a valid scenario with a few fields replaced, any JSON value, or raw bytes
+_SCENARIO_BYTES = st.one_of(
+    st.lists(_OVERRIDE, max_size=3).map(lambda kv: json.dumps({**SCENARIO, **dict(kv)}).encode()),
+    st.one_of(st.lists(st.integers()), _ANY).map(lambda v: json.dumps(v).encode()),
+    st.binary(max_size=64),
+)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(content=_SCENARIO_BYTES, command=st.sampled_from(["complement", "compare"]))
+def test_any_scenario_file_takes_a_documented_exit_path(runner, tmp_path, content, command):
+    path = tmp_path / "fuzz.json"
+    path.write_bytes(content)
+    result = invoke(runner, command, "--scenario", path, "--out", tmp_path / "out")
+    assert result.exit_code in (0, 1, 2, 3), result.output
+    if result.exit_code:
+        assert_one_json_error(result, result.exit_code)
+    else:
+        assert result.exception is None

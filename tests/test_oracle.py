@@ -27,7 +27,6 @@ from qlanroute.oracle import (
     apply_x_corrections,
     canonical_qubit_order,
     fidelity,
-    measurement_outcome_with_corrections,
     prepare_graph_state,
     project_x,
     stabilizer_expectation,
@@ -37,8 +36,7 @@ from qlanroute.switching import (
     augment_case1,
     augment_case2,
     measure_x,
-    run_case1,
-    run_case2,
+    run_pipeline,
 )
 
 from helpers import random_plain_graph
@@ -186,15 +184,6 @@ def test_corrected_state_matches_graph_rule_for_both_outcomes():
             checked += 1
 
 
-def test_corrections_description_is_attached():
-    g = client_graph(1, 2, [(1, 1), (1, 2)])
-    state = prepare_graph_state(g)
-    _, outcome = project_x(state, client(1, 1), forced_outcome=+1)
-    described = measurement_outcome_with_corrections(outcome, g, client(2, 1))
-    assert "on 2.1" in described.correction_applied
-    assert "Y" in described.correction_applied
-
-
 def test_correction_rejects_non_neighbor_k0():
     g = client_graph(2, 1, [(1, 1)])
     state = prepare_graph_state(g)
@@ -259,7 +248,7 @@ def test_quantum_state_validates_norm_and_order():
 def test_verify_single_link_case1_all_four_branches():
     g = client_graph(1, 1, [(1, 1)])
     aug = augment_case1(g)
-    final, records = run_case1(aug)
+    final, records = run_pipeline(aug)
     report = verify_pipeline(aug.graph, records, final)
     assert report.passed
     assert len(report.branches) == 4
@@ -270,7 +259,7 @@ def test_verify_single_link_case1_all_four_branches():
 def test_verify_case2_edgeless_2_plus_2_against_complete_bipartite():
     g = client_graph(2, 2)
     aug = augment_case2(g)
-    final, records = run_case2(aug)
+    final, records = run_pipeline(aug)
     assert final == complement_graph(g)
     report = verify_pipeline(aug.graph, records, final)
     assert report.passed and report.min_fidelity == pytest.approx(1.0, abs=1e-9)
@@ -279,7 +268,7 @@ def test_verify_case2_edgeless_2_plus_2_against_complete_bipartite():
 def test_verify_flags_corrupted_claim():
     g = client_graph(2, 2, [(1, 1)])
     aug = augment_case1(g)
-    final, records = run_case1(aug)
+    final, records = run_pipeline(aug)
     toggled = make_edge(client(1, 1), client(2, 1))
     edges = set(final.edges) ^ {toggled}
     corrupted = InterQlanGraph(final.vertices, frozenset(edges))
@@ -292,7 +281,7 @@ def test_verify_flags_corrupted_claim():
 def test_verify_accepts_forced_branch_subset():
     g = client_graph(1, 1, [(1, 1)])
     aug = augment_case1(g)
-    final, records = run_case1(aug)
+    final, records = run_pipeline(aug)
     report = verify_pipeline(aug.graph, records, final, branches=[(+1, -1)])
     assert report.passed and len(report.branches) == 1
     assert report.branches[0].outcome_string == "+-"
@@ -301,7 +290,7 @@ def test_verify_accepts_forced_branch_subset():
 def test_verify_rejects_inconsistent_records():
     g = client_graph(2, 2, [(1, 2)])
     aug = augment_case1(g)
-    final, records = run_case1(aug)
+    final, records = run_pipeline(aug)
     with pytest.raises(ValidationError, match="inconsistent"):
         verify_pipeline(aug.graph, list(reversed(records)), final)
 
@@ -309,7 +298,7 @@ def test_verify_rejects_inconsistent_records():
 def test_verify_rejects_oversized_graphs():
     g = client_graph(7, 6)
     aug = augment_case1(g)  # 15 vertices with the supers
-    final, records = run_case1(aug)
+    final, records = run_pipeline(aug)
     with pytest.raises(CapacityError):
         verify_pipeline(aug.graph, records, final)
 
@@ -317,12 +306,16 @@ def test_verify_rejects_oversized_graphs():
 def test_verify_report_serialization_shape():
     g = client_graph(1, 1, [(1, 1)])
     aug = augment_case1(g)
-    final, records = run_case1(aug)
+    final, records = run_pipeline(aug)
     report = verify_pipeline(aug.graph, records, final)
     data = report.to_json()
     assert data["passed"] is True
     assert len(data["branches"]) == 4
     assert {"outcomes", "fidelity", "passed", "corrections"} <= set(data["branches"][0])
+    # one correction note per measurement, each ending in the Y rotation on k0
+    for b in data["branches"]:
+        assert len(b["corrections"]) == 2
+        assert all("Y) on 1.1" in note for note in b["corrections"])
     assert isinstance(data["wall_time_s"], float)
     assert report.to_json(normalize=True)["wall_time_s"] is None
 

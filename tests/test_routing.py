@@ -16,7 +16,6 @@ from qlanroute.routing import (
     compare,
     execute_complement,
     find_path,
-    run_complement,
     run_tqr,
 )
 from qlanroute.switching import AugmentationCase
@@ -149,7 +148,7 @@ def test_complement_strategy_serves_all_complement_pairs_at_constant_cost():
     comp = complement_graph(g)
     reqs = RequestSet(tuple((u.name, v.name) for (u, v) in sorted(
         ((u, v) for (u, v) in comp.edges), key=lambda e: (e[0].name, e[1].name))))
-    report = run_complement(g, reqs)
+    report = execute_complement(g, reqs).report
     assert report.strategy == COMPLEMENT
     assert report.rounds == 1
     assert report.measurement_count == 2
@@ -160,29 +159,29 @@ def test_complement_strategy_serves_all_complement_pairs_at_constant_cost():
 
 def test_complement_strategy_serves_already_adjacent_pairs_at_zero_cost():
     g = client_graph(2, 2, [(1, 1)])
-    report = run_complement(g, RequestSet((("1.1", "2.1"), ("1.1", "2.2"))))
+    report = execute_complement(g, RequestSet((("1.1", "2.1"), ("1.1", "2.2")))).report
     assert sorted(report.served) == [0, 1]
 
 
 def test_complement_strategy_empty_requests_still_runs_the_pipeline():
     g = client_graph(2, 2, [(1, 1)])
-    report = run_complement(g, RequestSet(()))
+    report = execute_complement(g, RequestSet(())).report
     assert report.rounds == 1 and report.measurement_count == 2
-    skipped = run_complement(g, RequestSet(()), run_when_empty=False)
+    skipped = execute_complement(g, RequestSet(()), run_when_empty=False).report
     assert skipped.rounds == 0 and skipped.measurement_count == 0
 
 
 def test_complement_strategy_rejects_unknown_endpoints():
     g = client_graph(2, 2)
     with pytest.raises(UnknownVertexError):
-        run_complement(g, RequestSet((("1.1", "2.9"),)))
+        execute_complement(g, RequestSet((("1.1", "2.9"),)))
 
 
 def test_complement_strategy_fails_retained_remote_pairs():
     # (1.2, 2.2) was remote and 1.2 is retained: the switch cannot serve it
     g = client_graph(2, 2, [(2, 1)])
-    report = run_complement(g, RequestSet((("1.2", "2.2"), ("1.1", "2.2"))),
-                            retain=[client(1, 2)])
+    report = execute_complement(g, RequestSet((("1.2", "2.2"), ("1.1", "2.2"))),
+                                retain=[client(1, 2)]).report
     assert report.failed == ((0, "not a complement pair"),)
     assert report.served == (1,)
 
@@ -193,7 +192,7 @@ def test_complement_strategy_exhaustive_3_plus_3():
         if not comp_edges:
             continue
         reqs = RequestSet(tuple(sorted((u.name, v.name) for (u, v) in comp_edges)))
-        report = run_complement(g, reqs)
+        report = execute_complement(g, reqs).report
         assert len(report.served) == len(reqs) and not report.failed
         assert report.measurement_count == 2 and report.rounds == 1
 
@@ -206,7 +205,7 @@ def test_complement_served_set_matches_complement_edges_exactly():
         pairs = [(a.name, b.name) for a in g.clients() if a.qlan.value == 1
                  for b in g.clients() if b.qlan.value == 2]
         reqs = RequestSet(tuple(pairs))
-        report = run_complement(g, reqs)
+        report = execute_complement(g, reqs).report
         for idx, (s, d) in enumerate(reqs):
             pair = make_edge(
                 next(v for v in g.clients() if v.name == s),

@@ -119,12 +119,18 @@ def test_random_scenario_is_seed_deterministic():
     assert a.seed == 123
 
 
+@pytest.mark.parametrize("n1,n2", [(0, 3), (3, 0), (-1, 4), (4, -1), (1, 1)])
+def test_random_scenario_rejects_sizes_without_an_inter_link_and_a_complement_pair(n1, n2):
+    with pytest.raises(ValidationError, match="n1 \\* n2 >= 2"):
+        random_scenario(7, n1=n1, n2=n2)
+
+
 def test_random_scenario_is_well_formed():
-    for seed in range(20):
-        sc = random_scenario(seed, n1=3, n2=4)
+    for seed, (n1, n2) in enumerate([(3, 4)] * 20 + [(1, 2), (2, 1)] * 10):
+        sc = random_scenario(seed, n1=n1, n2=n2)
         parse_scenario(sc.to_json())  # revalidates every field
         assert len(sc.inter_links) >= 1
-        assert 1 <= len(sc.requests) <= 12 - len(sc.inter_links)
+        assert 1 <= len(sc.requests) <= n1 * n2 - len(sc.inter_links)
         assert complement_pairs_of(sc)  # never fully connected
         # requests are complement pairs by construction
         assert set(sc.requests) <= set(complement_pairs_of(sc))

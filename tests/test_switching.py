@@ -19,6 +19,7 @@ from qlanroute.graph import (
     neighbors,
     super_node,
 )
+from qlanroute.oracle import replay_records
 from qlanroute.switching import (
     AugmentationCase,
     AugmentedGraph,
@@ -29,11 +30,6 @@ from qlanroute.switching import (
     measure_x,
     promote_super,
     records_to_json,
-    replay_records,
-    run_case1,
-    run_case2,
-    run_measurement_sequence,
-    run_partial,
     run_pipeline,
 )
 
@@ -147,7 +143,7 @@ def test_promote_super_relabels_and_switches():
     g = _hub_graph()
     aug = promote_super(g, client(1, 3), client(2, 3))
     assert {s.name for s in aug.graph.supers()} == {"s1", "s2"}
-    final, records = run_case1(aug)
+    final, records = run_pipeline(aug)
     assert final == complement_graph(aug.client_base())
     assert len(records) == 2
 
@@ -209,27 +205,27 @@ def test_measure_does_not_mutate_input():
 
 def test_case1_single_link_switches_to_edgeless():
     g = client_graph(1, 1, [(1, 1)])
-    final, records = run_case1(augment_case1(g))
+    final, records = run_pipeline(augment_case1(g))
     assert final == client_graph(1, 1)
     assert [r.measured_vertex.name for r in records] == ["s2", "s1"]
 
 
 def test_case1_complete_bipartite_switches_to_edgeless():
     g = client_graph(2, 2, [(1, 1), (1, 2), (2, 1), (2, 2)])
-    final, _ = run_case1(augment_case1(g))
+    final, _ = run_pipeline(augment_case1(g))
     assert final == complement_graph(g)
     assert final.edges == frozenset()
 
 
 def test_case2_single_link_switches_to_edgeless():
     g = client_graph(1, 1, [(1, 1)])
-    final, _ = run_case2(augment_case2(g))
+    final, _ = run_pipeline(augment_case2(g))
     assert final == client_graph(1, 1)
 
 
 def test_case2_edgeless_switches_to_complete_bipartite():
     g = client_graph(2, 2)
-    final, _ = run_case2(augment_case2(g))
+    final, _ = run_pipeline(augment_case2(g))
     assert final == complement_graph(g)
     assert len(final.edges) == 4
 
@@ -239,7 +235,7 @@ def test_case1_exhaustive_2_plus_2_every_k0():
         ref = complement_graph(g)
         aug = augment_case1(g)
         for k0 in eligible_k0(aug):
-            final, _ = run_case1(aug, k0)
+            final, _ = run_pipeline(aug, k0)
             assert final == ref
 
 
@@ -248,7 +244,7 @@ def test_case2_exhaustive_2_plus_2_every_k0():
         ref = complement_graph(g)
         aug = augment_case2(g)
         for k0 in eligible_k0(aug):
-            final, _ = run_case2(aug, k0)
+            final, _ = run_pipeline(aug, k0)
             assert final == ref
 
 
@@ -256,7 +252,7 @@ def test_case2_exhaustive_2_plus_2_every_k0():
 @given(client_graphs(max_n1=4, max_n2=4))
 def test_pipeline_output_is_k0_independent(g):
     aug = augment_case1(g)
-    results = {run_case1(aug, k0)[0] for k0 in eligible_k0(aug)}
+    results = {run_pipeline(aug, k0)[0] for k0 in eligible_k0(aug)}
     assert len(results) == 1
 
 
@@ -280,7 +276,7 @@ def test_pipeline_cost_is_six_tau_applications(monkeypatch):
     monkeypatch.setattr(switching, "local_complement", counting)
     for g in (client_graph(1, 1, [(1, 1)]), client_graph(4, 4, [(1, 2), (3, 4)])):
         calls.clear()
-        run_case1(augment_case1(g))
+        run_pipeline(augment_case1(g))
         assert len(calls) == 6  # three per measurement, independent of size
 
 
@@ -290,35 +286,23 @@ def test_default_k0_is_lowest_index_eligible():
     assert default_k0(augment_case1(g, retain=[client(1, 1)])) == client(1, 2)
 
 
-def test_run_rejects_wrong_case():
-    aug = augment_case1(client_graph(1, 1, [(1, 1)]))
-    with pytest.raises(ValidationError, match="Case II"):
-        run_case2(aug)
-
-
 def test_run_rejects_ineligible_k0():
     g = client_graph(2, 2, [(1, 1)])
     aug = augment_case1(g, retain=[client(1, 2)])
     with pytest.raises(ValidationError, match="not eligible"):
-        run_case1(aug, client(1, 2))  # retained
+        run_pipeline(aug, client(1, 2))  # retained
     with pytest.raises(ValidationError, match="not eligible"):
-        run_case1(aug, client(2, 1))  # wrong QLAN for Case I
+        run_pipeline(aug, client(2, 1))  # wrong QLAN for Case I
 
 
 def test_retaining_entire_qlan_leaves_no_k0():
     g = client_graph(2, 2, [(1, 1)])
     aug = augment_case1(g, retain=[client(1, 1), client(1, 2)])
     with pytest.raises(ValidationError, match="no valid k0"):
-        run_case1(aug)
+        run_pipeline(aug)
 
 
 # -- partial switch -----------------------------------------------------------
-
-
-def test_run_partial_needs_retained_clients():
-    aug = augment_case1(client_graph(1, 1, [(1, 1)]))
-    with pytest.raises(ValidationError, match="non-empty"):
-        run_partial(aug)
 
 
 def test_partial_switch_2_plus_2_keeps_retained_links():
@@ -326,7 +310,7 @@ def test_partial_switch_2_plus_2_keeps_retained_links():
     # while the non-retained pairs flip to their complement
     g = client_graph(2, 2, [(2, 1), (2, 2)])
     retained = client(1, 2)
-    final, _ = run_partial(augment_case1(g, [retained]))
+    final, _ = run_pipeline(augment_case1(g, [retained]))
     assert final.has_edge(retained, client(2, 1))
     assert final.has_edge(retained, client(2, 2))
     assert final.has_edge(client(1, 1), client(2, 1))  # was remote, now adjacent
@@ -343,7 +327,7 @@ def test_partial_switch_complements_exactly_the_non_retained_pairs(g, pick, case
     aug = build(g, [retained])
     if not eligible_k0(aug):
         return  # 1-client QLAN fully retained: no pipeline possible
-    final, _ = run_partial(aug)
+    final, _ = run_pipeline(aug)
     for a in g.clients(Qlan.Q1):
         for b in g.clients(Qlan.Q2):
             if retained in (a, b):
@@ -360,7 +344,7 @@ def test_partial_switch_with_one_retained_client_per_qlan():
         g = random_client_graph(rng, 3, 3)
         retained = {client(1, rng.randint(1, 3)), client(2, rng.randint(1, 3))}
         aug = augment_case1(g, retained)
-        final, _ = run_partial(aug)
+        final, _ = run_pipeline(aug)
         ref = complement_graph(g)
         for a in g.clients(Qlan.Q1):
             for b in g.clients(Qlan.Q2):
@@ -373,21 +357,23 @@ def test_partial_switch_with_one_retained_client_per_qlan():
 
 def test_replay_reproduces_recorded_chain():
     g = random_client_graph(random.Random(3), 3, 3)
-    final, records = run_case1(augment_case1(g))
-    assert replay_records(records) == final
+    aug = augment_case1(g)
+    final, records = run_pipeline(aug)
+    assert replay_records(aug.graph, records) == final
 
 
 def test_replay_rejects_tampered_chain():
     g = client_graph(2, 2, [(1, 1)])
-    _, records = run_case1(augment_case1(g))
+    aug = augment_case1(g)
+    _, records = run_pipeline(aug)
     tampered = [records[1], records[0]]
     with pytest.raises(ValidationError, match="inconsistent"):
-        replay_records(tampered)
+        replay_records(aug.graph, tampered)
 
 
 def test_trace_export_shape():
     g = client_graph(2, 2, [(1, 2)])
-    _, records = run_case1(augment_case1(g))
+    _, records = run_pipeline(augment_case1(g))
     trace = records_to_json(records)
     assert [t["step"] for t in trace] == [0, 1]
     assert trace[0]["measured"] == "s2" and trace[1]["measured"] == "s1"
@@ -408,9 +394,9 @@ def test_mirror_order_with_fixed_mirror_k0_also_switches():
         g = random_client_graph(rng, 3, 3)
         aug = augment_case1(g)
         k0 = next(iter(c for c in aug.graph.clients(Qlan.Q2) if aug.graph.has_edge(c, aug.s1)))
-        mid, _ = run_measurement_sequence(aug.graph, [(aug.s1, k0)])
+        mid, _ = measure_x(aug.graph, aug.s1, k0)
         assert k0 in neighbors(mid, aug.s2).members
-        final, _ = run_measurement_sequence(mid, [(aug.s2, k0)])
+        final, _ = measure_x(mid, aug.s2, k0)
         assert final == complement_graph(g)
 
 
@@ -427,9 +413,9 @@ def test_distinct_k0_per_step_works_only_within_the_designated_qlan():
         aug = augment_case1(g)
         ref = complement_graph(g)
         k0a = next(c for c in aug.graph.clients(Qlan.Q1) if aug.graph.has_edge(c, aug.s2))
-        mid, _ = run_measurement_sequence(aug.graph, [(aug.s2, k0a)])
+        mid, _ = measure_x(aug.graph, aug.s2, k0a)
         for k0b in (v for v in neighbors(mid, aug.s1).members if not v.is_super):
-            final, _ = run_measurement_sequence(mid, [(aug.s1, k0b)])
+            final, _ = measure_x(mid, aug.s1, k0b)
             if k0b.qlan is Qlan.Q1:
                 same_side_deviations += final != ref
             else:
