@@ -24,7 +24,15 @@ import click
 
 from . import __version__
 from .errors import CapacityError, InternalAssertionError, ValidationError
-from .graph import InterQlanGraph, complement_graph, graph_to_json, make_edge, to_dot, vertex_from_name
+from .graph import (
+    InterQlanGraph,
+    complement_graph,
+    edges_as_names,
+    graph_to_json,
+    make_edge,
+    to_dot,
+    vertex_from_name,
+)
 from .oracle import verify_pipeline
 from .routing import compare as compare_strategies
 from .scenario import (
@@ -159,8 +167,7 @@ def cmd_complement(scenario_ref, out_dir, seed, case, retain, k0_name, fmt, orac
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["endpoint_a", "endpoint_b"])
-        for (u, v) in sorted((u.name, v.name) for (u, v) in final.edges):
-            writer.writerow([u, v])
+        writer.writerows(sorted(edges_as_names(final)))
         _write_text(out / "result_edges.csv", buf.getvalue())
     matches = None
     if not sc.retain:
@@ -175,7 +182,7 @@ def cmd_complement(scenario_ref, out_dir, seed, case, retain, k0_name, fmt, orac
         "retained": list(sc.retain),
         "k0": records[0].special_neighbor.name,
         "measurements": len(records),
-        "result_edges": len(final.edges),
+        "result_edges": final.edge_count,
         "matches_declarative_complement": matches,
     }
     _write_json(out / "summary.json", summary)
@@ -188,7 +195,7 @@ def cmd_complement(scenario_ref, out_dir, seed, case, retain, k0_name, fmt, orac
             )
     click.echo(f"switched {sc.n1}+{sc.n2} network (case {sc.case}) "
                f"with {len(records)} measurements; k0 = {summary['k0']}")
-    click.echo(f"result: {len(final.edges)} inter-links"
+    click.echo(f"result: {final.edge_count} inter-links"
                + ("" if matches is None else f"; matches declarative complement: {matches}")
                + (f"; oracle: pass" if oracle else ""))
     click.echo(f"reports written to {out}/")

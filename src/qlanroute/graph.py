@@ -6,23 +6,35 @@ resource. This module owns the vertex and graph types plus the operations
 everything else is built on: neighborhoods, local complementation, vertex
 deletion and the bipartite complement.
 
+Storage is integer-indexed, the representation graph-state simulators use
+(Anders & Briegel, arXiv:quant-ph/0504117): a graph keeps its vertices in
+canonical order (:func:`vertex_sort_key`: QLAN 1 clients, QLAN 2
+clients, then the super-nodes) and one Python ``int`` adjacency row per
+vertex, bit ``j`` of row ``i`` set when vertex ``i`` is adjacent to vertex
+``j``. Local complementation at ``v`` is one XOR per neighbor of ``v``,
+deletion compresses one bit out of every row, and the bipartite
+complement is one mask operation per client. Walking the rows in index
+order yields the edges already in canonical order, so export never sorts.
+
+:class:`LabeledVertex` objects and their names appear only at the
+boundaries: the public constructor, lookups by vertex, and export. The
+transformations build their results straight from rows and skip
+re-validation, because their invariants hold by construction.
+
 All operations are persistent: they return new graphs and never mutate
 their inputs, so callers can keep pre/post snapshots for verification.
-
-Edges are stored canonically, one entry per undirected edge, ordered by
-vertex sort key; which QLAN each endpoint belongs to is carried by the
-vertex labels, not by storage order. Intermediate graphs produced by the
-measurement pipeline may legitimately contain intra-QLAN edges, so
-bipartiteness of inter-links is validated only at pipeline boundaries
-(see :func:`validate_client_graph`), not in the constructor.
+Intermediate graphs produced by the measurement pipeline may legitimately
+contain intra-QLAN edges, so bipartiteness of inter-links is validated
+only at pipeline boundaries (see :func:`validate_client_graph`), not in
+the constructor.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from bisect import bisect_left
+from dataclasses import dataclass, field
 from enum import Enum
-from itertools import combinations
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import UnknownVertexError, ValidationError
 
@@ -50,22 +62,26 @@ class LabeledVertex:
     Client indices are 1-based to match the textual ``"1.3"`` naming.
     Super-nodes added by augmentation use index 0; a promoted super keeps
     the index it had as a client. Either way a QLAN holds at most one
-    super-node, so super names are simply ``"s1"`` and ``"s2"``.
+    super-node, so super names are simply ``"s1"`` and ``"s2"``. The name
+    and the hash are computed once, when the vertex is made.
     """
 
     qlan: Qlan
     index: int
     role: Role = Role.CLIENT
+    name: str = field(init=False, compare=False)
+    _hash: int = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.index < 0:
             raise ValidationError(f"vertex index must be non-negative, got {self.index}")
+        is_super = self.role is Role.SUPER
+        name = f"s{self.qlan.value}" if is_super else f"{self.qlan.value}.{self.index}"
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "_hash", hash((is_super, self.qlan.value, self.index)))
 
-    @property
-    def name(self) -> str:
-        if self.role is Role.SUPER:
-            return f"s{self.qlan.value}"
-        return f"{self.qlan.value}.{self.index}"
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def is_super(self) -> bool:
@@ -98,7 +114,8 @@ def vertex_from_name(name: str) -> LabeledVertex:
     if name in ("s1", "s2"):
         return super_node(int(name[1]))
     qlan_part, sep, index_part = name.partition(".")
-    if sep and qlan_part in ("1", "2") and index_part.isdigit() and int(index_part) >= 1:
+    # isdecimal, not isdigit: int() rejects digits such as "\u00b2"
+    if sep and qlan_part in ("1", "2") and index_part.isdecimal() and int(index_part) >= 1:
         return client(int(qlan_part), int(index_part))
     raise ValidationError(f"cannot parse vertex name {name!r} (expected '1.i', '2.j', 's1' or 's2')")
 
@@ -114,8 +131,14 @@ def make_edge(u: LabeledVertex, v: LabeledVertex) -> Edge:
     return (a, b)
 
 
-def is_cross_edge(e: Edge) -> bool:
-    return e[0].qlan is not e[1].qlan
+def bit_indices(mask: int) -> list[int]:
+    """Positions of the set bits of ``mask``, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 @dataclass(frozen=True)
@@ -140,62 +163,170 @@ class Neighborhood:
         return len(self.members)
 
 
-@dataclass(frozen=True)
+_SUPERS_START = (True, 0, 0)  # sorts after every client key, before every super key
+_Q2_START = (False, 2, 0)
+
+
 class InterQlanGraph:
     """The two-QLAN artificial topology: vertices plus undirected edges.
 
-    The constructor canonicalizes edges and enforces only structural
-    sanity (endpoints present, no self-loops, unique (qlan, index)
-    positions, at most one super-node per QLAN). Cross-QLAN-only linking
-    is a boundary condition of the pipeline, not of the type, because
-    local complementation legitimately creates intra-QLAN edges on
-    intermediate graphs.
+    Stored as ``order``, the vertices in canonical order, and ``rows``,
+    one adjacency bitmask per vertex in that order (bit ``j`` of
+    ``rows[i]`` joins ``order[i]`` and ``order[j]``). ``vertices`` and
+    ``edges`` are the frozenset views of the same graph, built on first
+    use; edges are canonical ``(u, v)`` tuples ordered by vertex sort key.
+
+    The public constructor enforces structural sanity (endpoints present,
+    no self-loops, unique (qlan, index) positions, at most one super-node
+    per QLAN). Cross-QLAN-only linking is a boundary condition of the
+    pipeline, not of the type, because local complementation legitimately
+    creates intra-QLAN edges on intermediate graphs. Graphs are immutable;
+    equality and hashing compare vertices and edges.
     """
 
-    vertices: frozenset[LabeledVertex]
-    edges: frozenset[Edge]
+    __slots__ = ("order", "rows", "_keys", "_vertices", "_edges", "_hash")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "vertices", frozenset(self.vertices))
-        object.__setattr__(self, "edges", frozenset(make_edge(u, v) for (u, v) in self.edges))
+    def __init__(self, vertices: Iterable[LabeledVertex], edges: Iterable[Edge]) -> None:
+        canon = [make_edge(u, v) for (u, v) in edges]
+        order = tuple(sorted(frozenset(vertices), key=vertex_sort_key))
         positions: dict[tuple[Qlan, int], LabeledVertex] = {}
-        for v in self.vertices:
+        for v in order:
             prev = positions.setdefault((v.qlan, v.index), v)
             if prev != v:
                 raise ValidationError(
                     f"vertices {prev.name} and {v.name} occupy the same (qlan, index) position"
                 )
         for q in Qlan:
-            supers = [v for v in self.vertices if v.qlan is q and v.is_super]
-            if len(supers) > 1:
+            if sum(1 for v in order if v.qlan is q and v.is_super) > 1:
                 raise ValidationError(f"QLAN {q.value} has more than one super-node")
-        for (u, v) in self.edges:
+        pos = {v: i for i, v in enumerate(order)}
+        rows = [0] * len(order)
+        for (u, v) in canon:
             for end in (u, v):
-                if end not in self.vertices:
+                if end not in pos:
                     raise UnknownVertexError(f"edge endpoint {end.name} is not a vertex of the graph")
+            i, j = pos[u], pos[v]
+            rows[i] |= 1 << j
+            rows[j] |= 1 << i
+        self._init(order, tuple(map(vertex_sort_key, order)), tuple(rows))
+
+    def _init(self, order: tuple, keys: tuple, rows: tuple) -> None:
+        set_ = object.__setattr__
+        set_(self, "order", order)
+        set_(self, "_keys", keys)
+        set_(self, "rows", rows)
+        set_(self, "_vertices", None)
+        set_(self, "_edges", None)
+        set_(self, "_hash", None)
+
+    @classmethod
+    def _from_rows(cls, order: tuple, rows, keys: tuple | None = None) -> "InterQlanGraph":
+        """Package-internal constructor for transforms whose invariants hold by
+        construction: ``order`` canonical (``keys`` its sort keys, computed when
+        omitted) and ``rows`` symmetric with an empty diagonal. Nothing is
+        re-checked."""
+        g = object.__new__(cls)
+        g._init(order, tuple(map(vertex_sort_key, order)) if keys is None else keys, tuple(rows))
+        return g
+
+    def _with_rows(self, rows) -> "InterQlanGraph":
+        return InterQlanGraph._from_rows(self.order, rows, self._keys)
+
+    def __setattr__(self, name, value) -> None:
+        raise AttributeError(f"InterQlanGraph is immutable; cannot set {name!r}")
+
+    def __reduce__(self):
+        return (InterQlanGraph, (self.vertices, self.edges))
 
     # -- views ---------------------------------------------------------
 
+    @property
+    def vertices(self) -> frozenset[LabeledVertex]:
+        if self._vertices is None:
+            object.__setattr__(self, "_vertices", frozenset(self.order))
+        return self._vertices
+
+    @property
+    def edges(self) -> frozenset[Edge]:
+        if self._edges is None:
+            object.__setattr__(self, "_edges", frozenset(sorted_edges(self)))
+        return self._edges
+
+    @property
+    def edge_count(self) -> int:
+        return sum(r.bit_count() for r in self.rows) // 2
+
+    def position(self, v: LabeledVertex) -> int:
+        """Index of ``v`` in ``order``; raises UnknownVertexError if absent."""
+        i = self._find(v)
+        if i < 0:
+            raise UnknownVertexError(f"vertex {v.name} is not in the graph")
+        return i
+
+    def row(self, v: LabeledVertex) -> int:
+        """The adjacency bitmask of ``v``; raises UnknownVertexError if absent."""
+        return self.rows[self.position(v)]
+
+    def bit(self, v: LabeledVertex) -> int:
+        """``1 << position(v)``, or 0 when ``v`` is not a vertex of the graph."""
+        i = self._find(v)
+        return 0 if i < 0 else 1 << i
+
+    def _find(self, v: LabeledVertex) -> int:
+        key = vertex_sort_key(v)
+        i = bisect_left(self._keys, key)
+        return i if i < len(self._keys) and self._keys[i] == key else -1
+
+    def _client_bounds(self) -> tuple[int, int]:
+        """(number of QLAN 1 clients, number of clients): the order's block ends."""
+        return bisect_left(self._keys, _Q2_START), bisect_left(self._keys, _SUPERS_START)
+
+    def client_mask(self, qlan: Qlan | None = None) -> int:
+        """Bitmask of the clients, of one QLAN or of both."""
+        n1, nc = self._client_bounds()
+        if qlan is None:
+            return (1 << nc) - 1
+        return (1 << n1) - 1 if qlan is Qlan.Q1 else (1 << nc) - (1 << n1)
+
     def clients(self, qlan: Qlan | None = None) -> tuple[LabeledVertex, ...]:
-        sel = [v for v in self.vertices if not v.is_super and (qlan is None or v.qlan is qlan)]
-        return tuple(sorted(sel, key=vertex_sort_key))
+        n1, nc = self._client_bounds()
+        if qlan is None:
+            return self.order[:nc]
+        return self.order[:n1] if qlan is Qlan.Q1 else self.order[n1:nc]
 
     def supers(self) -> tuple[LabeledVertex, ...]:
-        return tuple(sorted((v for v in self.vertices if v.is_super), key=vertex_sort_key))
+        return self.order[self._client_bounds()[1]:]
 
     @property
     def n1(self) -> int:
-        return len(self.clients(Qlan.Q1))
+        return self._client_bounds()[0]
 
     @property
     def n2(self) -> int:
-        return len(self.clients(Qlan.Q2))
+        n1, nc = self._client_bounds()
+        return nc - n1
 
     def has_edge(self, u: LabeledVertex, v: LabeledVertex) -> bool:
-        return make_edge(u, v) in self.edges
+        if u == v:
+            raise ValidationError(f"self-loop at {u.name} is not allowed")
+        i, j = self._find(u), self._find(v)
+        return i >= 0 and j >= 0 and bool(self.rows[i] >> j & 1)
 
     def __contains__(self, v: LabeledVertex) -> bool:
-        return v in self.vertices
+        return isinstance(v, LabeledVertex) and self._find(v) >= 0
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not InterQlanGraph:
+            return NotImplemented
+        return self._keys == other._keys and self.rows == other.rows
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash((self._keys, self.rows)))
+        return self._hash
+
+    def __repr__(self) -> str:
+        return f"InterQlanGraph(vertices={list(self.order)}, edges={edges_as_names(self)})"
 
 
 def client_graph(n1: int, n2: int, links: Iterable[tuple[int, int]] = ()) -> InterQlanGraph:
@@ -206,31 +337,21 @@ def client_graph(n1: int, n2: int, links: Iterable[tuple[int, int]] = ()) -> Int
     """
     if n1 < 0 or n2 < 0:
         raise ValidationError("QLAN sizes must be non-negative")
-    vertices = {client(Qlan.Q1, i) for i in range(1, n1 + 1)}
-    vertices |= {client(Qlan.Q2, j) for j in range(1, n2 + 1)}
-    edges = set()
+    order = tuple(LabeledVertex(Qlan.Q1, i) for i in range(1, n1 + 1))
+    order += tuple(LabeledVertex(Qlan.Q2, j) for j in range(1, n2 + 1))
+    rows = [0] * (n1 + n2)
     for (i, j) in links:
         if not (1 <= i <= n1 and 1 <= j <= n2):
             raise ValidationError(f"inter-link ({i}, {j}) is out of range for a {n1}+{n2} graph")
-        edges.add(make_edge(client(Qlan.Q1, i), client(Qlan.Q2, j)))
-    return InterQlanGraph(frozenset(vertices), frozenset(edges))
-
-
-def _require_vertex(g: InterQlanGraph, v: LabeledVertex) -> None:
-    if v not in g.vertices:
-        raise UnknownVertexError(f"vertex {v.name} is not in the graph")
+        a, b = i - 1, n1 + j - 1
+        rows[a] |= 1 << b
+        rows[b] |= 1 << a
+    return InterQlanGraph._from_rows(order, rows)
 
 
 def neighbors(g: InterQlanGraph, v: LabeledVertex) -> Neighborhood:
     """All vertices adjacent to ``v``, in either QLAN, super-nodes included."""
-    _require_vertex(g, v)
-    members = set()
-    for (a, b) in g.edges:
-        if a == v:
-            members.add(b)
-        elif b == v:
-            members.add(a)
-    return Neighborhood(v, frozenset(members))
+    return Neighborhood(v, frozenset(g.order[k] for k in bit_indices(g.row(v))))
 
 
 def complement_neighborhood(g: InterQlanGraph, v: LabeledVertex) -> Neighborhood:
@@ -239,40 +360,36 @@ def complement_neighborhood(g: InterQlanGraph, v: LabeledVertex) -> Neighborhood
     Defined for client vertices of the Inter-QLAN proper; super-nodes are
     excluded both as centers and as members.
     """
-    _require_vertex(g, v)
+    row = g.row(v)
     if v.is_super:
         raise ValidationError(
             f"complement neighborhood is defined for client vertices, not super-node {v.name}"
         )
-    adjacent = neighbors(g, v).members
-    remote = {u for u in g.clients(v.qlan.other) if u not in adjacent}
-    return Neighborhood(v, frozenset(remote))
+    remote = g.client_mask(v.qlan.other) & ~row
+    return Neighborhood(v, frozenset(g.order[k] for k in bit_indices(remote)))
 
 
 def local_complement(g: InterQlanGraph, v: LabeledVertex) -> InterQlanGraph:
     """Toggle every edge between two neighbors of ``v``; everything else stays.
 
-    The involution tau underlying the X-measurement rule. Intermediate
+    The involution tau underlying the X-measurement rule: for each
+    neighbor ``u`` of ``v``, ``rows[u] ^= N(v) & ~bit(u)``. Intermediate
     results can carry intra-QLAN edges; that is expected and legal here.
     """
-    nbrs = sorted(neighbors(g, v).members, key=vertex_sort_key)
-    edges = set(g.edges)
-    for a, b in combinations(nbrs, 2):
-        e = make_edge(a, b)
-        if e in edges:
-            edges.remove(e)
-        else:
-            edges.add(e)
-    return InterQlanGraph(g.vertices, frozenset(edges))
+    nv = g.row(v)
+    rows = list(g.rows)
+    for u in bit_indices(nv):
+        rows[u] ^= nv & ~(1 << u)
+    return g._with_rows(rows)
 
 
 def delete_vertex(g: InterQlanGraph, v: LabeledVertex) -> InterQlanGraph:
     """Remove ``v`` and every edge incident to it."""
-    _require_vertex(g, v)
-    return InterQlanGraph(
-        frozenset(u for u in g.vertices if u != v),
-        frozenset(e for e in g.edges if v not in e),
-    )
+    i = g.position(v)
+    low = (1 << i) - 1
+    rows = [(r & low) | (r >> (i + 1) << i) for r in g.rows[:i] + g.rows[i + 1:]]
+    keys = g._keys[:i] + g._keys[i + 1:]
+    return InterQlanGraph._from_rows(g.order[:i] + g.order[i + 1:], rows, keys)
 
 
 def complement_graph(g: InterQlanGraph) -> InterQlanGraph:
@@ -284,13 +401,21 @@ def complement_graph(g: InterQlanGraph) -> InterQlanGraph:
     """
     if g.supers():
         raise ValidationError("complement is defined on the client-only graph, super-node present")
-    edges = {
-        make_edge(a, b)
-        for a in g.clients(Qlan.Q1)
-        for b in g.clients(Qlan.Q2)
-        if not g.has_edge(a, b)
-    }
-    return InterQlanGraph(g.vertices, frozenset(edges))
+    q1, q2 = g.client_mask(Qlan.Q1), g.client_mask(Qlan.Q2)
+    n1 = g.n1
+    rows = [q2 & ~r for r in g.rows[:n1]] + [q1 & ~r for r in g.rows[n1:]]
+    return g._with_rows(rows)
+
+
+def first_intra_qlan_edge(g: InterQlanGraph) -> Edge | None:
+    """The first client edge, in canonical order, that stays inside one QLAN."""
+    for q in Qlan:
+        side = g.client_mask(q)
+        for i in bit_indices(side):
+            hit = g.rows[i] & side & ~((2 << i) - 1)
+            if hit:
+                return (g.order[i], g.order[(hit & -hit).bit_length() - 1])
+    return None
 
 
 def validate_client_graph(g: InterQlanGraph) -> None:
@@ -298,23 +423,43 @@ def validate_client_graph(g: InterQlanGraph) -> None:
     if g.supers():
         names = ", ".join(s.name for s in g.supers())
         raise ValidationError(f"expected a client-only graph, found super-node(s) {names}")
-    for e in g.edges:
-        if not is_cross_edge(e):
-            raise ValidationError(
-                f"edge ({e[0].name}, {e[1].name}) stays inside one QLAN; "
-                "inter-links must join the two QLANs"
-            )
+    e = first_intra_qlan_edge(g)
+    if e is not None:
+        raise ValidationError(
+            f"edge ({e[0].name}, {e[1].name}) stays inside one QLAN; "
+            "inter-links must join the two QLANs"
+        )
 
 
 # -- serialization -----------------------------------------------------
 
 
+def _upper_neighbors(g: InterQlanGraph, mask: int = -1) -> Iterator[tuple[int, list[int]]]:
+    """Each vertex ``i`` with the positions ``j > i`` of its neighbors inside ``mask``.
+
+    Read in order, the ``(i, j)`` pairs are the edges in canonical order.
+    """
+    for i, r in enumerate(g.rows):
+        upper = r & mask & ~((2 << i) - 1)
+        if upper:
+            yield i, bit_indices(upper)
+
+
+def edge_indices(g: InterQlanGraph) -> list[tuple[int, int]]:
+    """Every edge as ``(i, j)`` positions with ``i < j``, in canonical edge order."""
+    return [(i, j) for i, js in _upper_neighbors(g) for j in js]
+
+
 def sorted_edges(g: InterQlanGraph) -> list[Edge]:
-    return sorted(g.edges, key=lambda e: (vertex_sort_key(e[0]), vertex_sort_key(e[1])))
+    order = g.order
+    return [(order[i], order[j]) for i, js in _upper_neighbors(g) for j in js]
 
 
-def edges_as_names(g: InterQlanGraph) -> list[list[str]]:
-    return [[u.name, v.name] for (u, v) in sorted_edges(g)]
+def edges_as_names(g: InterQlanGraph, mask: int = -1) -> list[list[str]]:
+    """Edges as name pairs in canonical order; ``mask`` keeps those whose
+    second endpoint is in it."""
+    names = [v.name for v in g.order]
+    return [[names[i], names[j]] for i, js in _upper_neighbors(g, mask) for j in js]
 
 
 def graph_to_json(g: InterQlanGraph) -> dict:
@@ -331,15 +476,16 @@ def graph_to_json(g: InterQlanGraph) -> dict:
                 f"QLAN {q.value} client indices {got} are not contiguous from 1; "
                 "this graph has no serialized form"
             )
+    # supers come last in the order, so an edge touches one exactly when
+    # its second endpoint is a super
+    clients = g.client_mask()
     supers = {s.name for s in g.supers()}
-    client_edges = [e for e in sorted_edges(g) if not (e[0].is_super or e[1].is_super)]
-    super_edges = [e for e in sorted_edges(g) if e[0].is_super or e[1].is_super]
     return {
         "n1": g.n1,
         "n2": g.n2,
-        "edges": [[u.name, v.name] for (u, v) in client_edges],
+        "edges": edges_as_names(g, clients),
         "supers": {"s1": "s1" in supers, "s2": "s2" in supers},
-        "super_edges": [[u.name, v.name] for (u, v) in super_edges],
+        "super_edges": edges_as_names(g, ~clients),
     }
 
 
@@ -375,7 +521,7 @@ _DOT_STYLE = {
 def to_dot(g: InterQlanGraph, name: str = "interqlan") -> str:
     """DOT export with one visual class per QLAN and a distinct super style."""
     lines = [f"graph {name} {{"]
-    for v in sorted(g.vertices, key=vertex_sort_key):
+    for v in g.order:
         if v.is_super:
             style = _DOT_STYLE["super"]
         elif v.qlan is Qlan.Q1:
@@ -383,7 +529,7 @@ def to_dot(g: InterQlanGraph, name: str = "interqlan") -> str:
         else:
             style = _DOT_STYLE["q2"]
         lines.append(f'  "{v.name}" [{style}];')
-    for (u, v) in sorted_edges(g):
-        lines.append(f'  "{u.name}" -- "{v.name}";')
+    for u, v in edges_as_names(g):
+        lines.append(f'  "{u}" -- "{v}";')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -42,7 +42,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import CapacityError, InternalAssertionError, UnknownVertexError, ValidationError
-from .graph import InterQlanGraph, LabeledVertex, neighbors, vertex_sort_key
+from .graph import InterQlanGraph, LabeledVertex, edge_indices, neighbors, vertex_sort_key
 from .switching import MeasurementRecord, measure_x
 
 MAX_QUBITS = 14
@@ -111,15 +111,13 @@ def prepare_graph_state(g: InterQlanGraph) -> QuantumState:
         raise CapacityError(
             f"{n} qubits exceed the {MAX_QUBITS}-qubit dense-vector capacity; use a smaller graph"
         )
-    order = canonical_qubit_order(g.vertices)
-    pos = {v: i for i, v in enumerate(order)}
     psi = np.full((2,) * n, 2 ** (-n / 2), dtype=complex)
-    for (u, v) in g.edges:
+    for (i, j) in edge_indices(g):  # g.order is the canonical qubit order
         idx: list = [slice(None)] * n
-        idx[pos[u]] = 1
-        idx[pos[v]] = 1
+        idx[i] = 1
+        idx[j] = 1
         psi[tuple(idx)] *= -1
-    return QuantumState(psi.reshape(-1), order)
+    return QuantumState(psi.reshape(-1), g.order)
 
 
 def _apply_z(tensor: np.ndarray, axis: int) -> np.ndarray:

@@ -39,11 +39,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .errors import UnknownVertexError, ValidationError
-from .graph import (
-    InterQlanGraph,
-    make_edge,
-    validate_client_graph,
-)
+from .graph import InterQlanGraph, validate_client_graph
 from .switching import (
     AugmentationCase,
     AugmentedGraph,
@@ -59,7 +55,11 @@ COMPLEMENT = "Complement"
 
 @dataclass(frozen=True)
 class PhysicalTopology:
-    """The physical network: node ids, undirected links, qubit budgets."""
+    """The physical network: node ids, undirected links, qubit budgets.
+
+    The sorted adjacency lists are built once, at construction, and the
+    hop distances to each destination once, on the first request for it.
+    """
 
     nodes: frozenset[str]
     links: frozenset[tuple[str, str]]
@@ -81,13 +81,27 @@ class PhysicalTopology:
             if q < 1:
                 raise ValidationError(f"node {n} needs at least one communication qubit, got {q}")
         object.__setattr__(self, "comm_qubits", budgets)
-
-    def adjacency(self) -> dict[str, list[str]]:
         adj: dict[str, list[str]] = {n: [] for n in self.nodes}
         for (a, b) in self.links:
             adj[a].append(b)
             adj[b].append(a)
-        return {n: sorted(vs) for n, vs in adj.items()}
+        object.__setattr__(self, "_adj", {n: sorted(vs) for n, vs in adj.items()})
+        object.__setattr__(self, "_dist", {})
+
+    def _hops_to(self, dst: str) -> dict[str, int]:
+        """Hop distance to ``dst`` from every node that can reach it (BFS, cached)."""
+        dist = self._dist.get(dst)
+        if dist is None:
+            dist = {dst: 0}
+            queue = deque([dst])
+            while queue:
+                cur = queue.popleft()
+                for nxt in self._adj[cur]:
+                    if nxt not in dist:
+                        dist[nxt] = dist[cur] + 1
+                        queue.append(nxt)
+            self._dist[dst] = dist
+        return dist
 
 
 @dataclass(frozen=True)
@@ -142,23 +156,17 @@ def find_path(topo: PhysicalTopology, src: str, dst: str) -> list[str]:
             raise UnknownVertexError(f"node {end!r} is not in the topology")
     if src == dst:
         return [src]
-    adj = topo.adjacency()
-    dist = {dst: 0}
-    queue = deque([dst])
-    while queue:
-        cur = queue.popleft()
-        for nxt in adj[cur]:
-            if nxt not in dist:
-                dist[nxt] = dist[cur] + 1
-                queue.append(nxt)
+    dist = topo._hops_to(dst)
     if src not in dist:
         return []
     # walking from src toward dst, always taking the smallest eligible
-    # neighbor, yields the lexicographically smallest shortest path
+    # neighbor (adjacency lists are sorted), yields the lexicographically
+    # smallest shortest path
     path = [src]
     cur = src
     while cur != dst:
-        cur = min(n for n in adj[cur] if n in dist and dist[n] == dist[cur] - 1)
+        step = dist[cur] - 1
+        cur = next(n for n in topo._adj[cur] if dist.get(n) == step)
         path.append(cur)
     return path
 
@@ -216,7 +224,8 @@ def run_tqr(topo: PhysicalTopology, reqs: RequestSet) -> RoutingReport:
         for node, used in usage.items():
             peak[node] = max(peak[node], used)
         served.extend(admitted)
-        pending = [i for i in pending if i not in admitted]
+        done = set(admitted)
+        pending = [i for i in pending if i not in done]
     return RoutingReport(
         strategy=TQR,
         rounds=rounds,
@@ -268,13 +277,12 @@ def execute_complement(
     served: list[int] = []
     failed: list[tuple[int, str]] = []
     for (i, u, v) in resolved:
-        pair = make_edge(u, v)
-        if pair in g.edges or pair in final.edges:
+        if g.has_edge(u, v) or final.has_edge(u, v):
             served.append(i)
         else:
             failed.append((i, "not a complement pair"))
     # proactive: every node holds exactly its one graph-state qubit
-    peak = {v.name: 1 for v in aug.graph.vertices}
+    peak = {v.name: 1 for v in aug.graph.order}
     report = RoutingReport(
         strategy=COMPLEMENT,
         rounds=1,
@@ -293,7 +301,7 @@ class ComparisonReport:
 
     tqr: RoutingReport
     complement: RoutingReport
-    rounds_ratio: float
+    rounds_ratio: float | None  # None when the complement side ran no round
     axes: tuple[dict, ...]
 
     def to_json(self) -> dict:
@@ -322,7 +330,7 @@ def compare(
         )
     tqr_report = run_tqr(topo, reqs)
     comp_report = execute_complement(g, reqs, case, retain, run_when_empty).report
-    ratio = tqr_report.rounds / comp_report.rounds if comp_report.rounds else float("inf")
+    ratio = tqr_report.rounds / comp_report.rounds if comp_report.rounds else None
     axes = (
         {"axis": "key_operation", "tqr": "path selection", "complement": "graph manipulation"},
         {"axis": "entanglement_resource", "tqr": "EPR pairs", "complement": "graph state"},

@@ -32,10 +32,9 @@ from .errors import ValidationError
 from .graph import (
     InterQlanGraph,
     LabeledVertex,
-    Qlan,
-    client,
     client_graph,
     complement_graph,
+    edges_as_names,
     vertex_from_name,
 )
 from .routing import PhysicalTopology, RequestSet
@@ -201,11 +200,18 @@ def load_scenario(path: str | Path) -> Scenario:
 
 
 def scenario_graph(sc: Scenario) -> InterQlanGraph:
+    q1 = {f"1.{i}": i for i in range(1, sc.n1 + 1)}
+    q2 = {f"2.{j}": j for j in range(1, sc.n2 + 1)}
     links = []
     for (a, b) in sc.inter_links:
-        u, v = vertex_from_name(a), vertex_from_name(b)
-        i, j = (u, v) if u.qlan is Qlan.Q1 else (v, u)
-        links.append((i.index, j.index))
+        if a in q2 and b in q1:
+            a, b = b, a
+        if a not in q1 or b not in q2:
+            raise ValidationError(
+                f"inter-link ({a}, {b}) does not join a QLAN 1 and a QLAN 2 client "
+                f"of a {sc.n1}+{sc.n2} network"
+            )
+        links.append((q1[a], q2[b]))
     return client_graph(sc.n1, sc.n2, links)
 
 
@@ -283,14 +289,7 @@ def random_scenario(seed: int, n1: int = 3, n2: int = 4) -> Scenario:
 
 def complement_pairs_of(sc: Scenario) -> tuple[tuple[str, str], ...]:
     """Name pairs that the switch will connect, in deterministic order."""
-    g = scenario_graph(sc)
-    comp = complement_graph(g)
-    out = []
-    for i in range(1, sc.n1 + 1):
-        for j in range(1, sc.n2 + 1):
-            if comp.has_edge(client(Qlan.Q1, i), client(Qlan.Q2, j)):
-                out.append((f"1.{i}", f"2.{j}"))
-    return tuple(out)
+    return tuple((a, b) for a, b in edges_as_names(complement_graph(scenario_graph(sc))))
 
 
 # -- bundled scenarios -----------------------------------------------------

@@ -36,11 +36,12 @@ from .graph import (
     LabeledVertex,
     Qlan,
     Role,
+    bit_indices,
     delete_vertex,
     edges_as_names,
+    first_intra_qlan_edge,
     local_complement,
     make_edge,
-    neighbors,
     super_node,
     validate_client_graph,
     vertex_sort_key,
@@ -82,9 +83,9 @@ class AugmentedGraph:
 
     def client_base(self) -> InterQlanGraph:
         """The client-induced subgraph: the network the pipeline output refers to."""
-        clients = frozenset(v for v in self.graph.vertices if not v.is_super)
-        edges = frozenset(e for e in self.graph.edges if not (e[0].is_super or e[1].is_super))
-        return InterQlanGraph(clients, edges)
+        g = self.graph
+        clients, mask = g.clients(), g.client_mask()
+        return InterQlanGraph._from_rows(clients, [r & mask for r in g.rows[: len(clients)]])
 
 
 def _super_of(g: InterQlanGraph, qlan: Qlan) -> LabeledVertex:
@@ -102,30 +103,37 @@ def _validate_augmented(aug: AugmentedGraph) -> None:
     s1, s2 = _super_of(g, Qlan.Q1), _super_of(g, Qlan.Q2)
     if not g.has_edge(s1, s2):
         raise ValidationError("super-nodes must be joined by the (s1, s2) inter-link")
-    for r in aug.retained:
-        if r not in g.vertices or r.is_super:
+    retained = 0
+    for r in sorted(aug.retained, key=vertex_sort_key):
+        if r not in g or r.is_super:
             raise ValidationError(f"retained vertex {r.name} is not a client of the graph")
-        if g.has_edge(r, s1) or g.has_edge(r, s2):
-            raise ValidationError(f"retained client {r.name} must not be adjacent to a super-node")
-    for c in g.clients():
-        own = s1 if c.qlan is Qlan.Q1 else s2
-        opposite = s2 if c.qlan is Qlan.Q1 else s1
-        want = aug.case is AugmentationCase.CASE_I
-        if c in aug.retained:
-            continue  # non-adjacency already checked above
-        if g.has_edge(c, opposite) != want:
-            raise ValidationError(
-                f"client {c.name} breaks the Case {aug.case.value} wiring to {opposite.name}"
-            )
-        if g.has_edge(c, own) == want:
-            raise ValidationError(
-                f"client {c.name} breaks the Case {aug.case.value} wiring to {own.name}"
-            )
-    for e in g.edges:
-        if not (e[0].is_super or e[1].is_super) and e[0].qlan is e[1].qlan:
-            raise ValidationError(
-                f"client edge ({e[0].name}, {e[1].name}) stays inside one QLAN"
-            )
+        retained |= g.bit(r)
+    row1, row2 = g.row(s1), g.row(s2)
+    touching = (row1 | row2) & retained
+    if touching:
+        r = g.order[bit_indices(touching)[0]]
+        raise ValidationError(f"retained client {r.name} must not be adjacent to a super-node")
+    # Case I wires each switching client to the opposite QLAN's super-node
+    # only, Case II to its own QLAN's super-node only
+    q1, q2 = g.client_mask(Qlan.Q1) & ~retained, g.client_mask(Qlan.Q2) & ~retained
+    case_i = aug.case is AugmentationCase.CASE_I
+    to_opposite = (row2 & q1) | (row1 & q2)
+    to_own = (row1 & q1) | (row2 & q2)
+    wrong_opposite = (q1 | q2) & ~to_opposite if case_i else to_opposite
+    wrong_own = to_own if case_i else (q1 | q2) & ~to_own
+    wrong = wrong_opposite | wrong_own
+    if wrong:
+        c = g.order[bit_indices(wrong)[0]]
+        own, opposite = (s1, s2) if c.qlan is Qlan.Q1 else (s2, s1)
+        culprit = opposite if wrong_opposite & g.bit(c) else own
+        raise ValidationError(
+            f"client {c.name} breaks the Case {aug.case.value} wiring to {culprit.name}"
+        )
+    e = first_intra_qlan_edge(g)
+    if e is not None:
+        raise ValidationError(
+            f"client edge ({e[0].name}, {e[1].name}) stays inside one QLAN"
+        )
 
 
 @dataclass(frozen=True)
@@ -140,7 +148,8 @@ class MeasurementRecord:
     post_graph: InterQlanGraph
 
     def __post_init__(self) -> None:
-        if self.special_neighbor not in neighbors(self.pre_graph, self.measured_vertex):
+        g = self.pre_graph
+        if not g.has_edge(self.measured_vertex, self.special_neighbor):
             raise ValidationError(
                 f"k0 {self.special_neighbor.name} is not adjacent to "
                 f"{self.measured_vertex.name} in the pre-measurement graph"
@@ -153,7 +162,7 @@ def _check_augmentable(g: InterQlanGraph, retain: Iterable[LabeledVertex]) -> fr
         raise ValidationError("empty QLAN: augmentation needs at least one client per QLAN")
     retained = frozenset(retain)
     for r in retained:
-        if r not in g.vertices:
+        if r not in g:
             raise ValidationError(f"retained vertex {r.name} is not in the graph")
     return retained
 
@@ -161,14 +170,18 @@ def _check_augmentable(g: InterQlanGraph, retain: Iterable[LabeledVertex]) -> fr
 def _augment(g: InterQlanGraph, case: AugmentationCase, retain: Iterable[LabeledVertex]) -> AugmentedGraph:
     retained = _check_augmentable(g, retain)
     s1, s2 = super_node(Qlan.Q1), super_node(Qlan.Q2)
-    edges = set(g.edges)
-    edges.add(make_edge(s1, s2))
-    for v in g.clients():
-        if v in retained:
-            continue
-        side = v.qlan.other if case is AugmentationCase.CASE_I else v.qlan
-        edges.add(make_edge(v, s1 if side is Qlan.Q1 else s2))
-    graph = InterQlanGraph(g.vertices | {s1, s2}, frozenset(edges))
+    # the supers go last in canonical order: s1 at position n, s2 at n + 1
+    n = len(g.order)
+    b1, b2 = 1 << n, 1 << (n + 1)
+    held = sum(g.bit(r) for r in retained)
+    q1, q2 = g.client_mask(Qlan.Q1) & ~held, g.client_mask(Qlan.Q2) & ~held
+    to_s1, to_s2 = (q2, q1) if case is AugmentationCase.CASE_I else (q1, q2)
+    rows = list(g.rows) + [to_s1 | b2, to_s2 | b1]
+    for i in bit_indices(to_s1):
+        rows[i] |= b1
+    for i in bit_indices(to_s2):
+        rows[i] |= b2
+    graph = InterQlanGraph._from_rows(g.order + (s1, s2), rows)
     return AugmentedGraph(graph, case, retained)
 
 
@@ -241,10 +254,9 @@ def measure_x(
     Deterministic given (g, a, k0); the record captures the step for
     audit, replay and state-level verification.
     """
-    nbrs = neighbors(g, a)
-    if not len(nbrs):
+    if not g.row(a):
         raise ValidationError(f"X-measurement requires a neighbor, but {a.name} is isolated")
-    if k0 not in nbrs:
+    if not g.has_edge(a, k0):
         raise ValidationError(f"k0 {k0.name} is not adjacent to the measured vertex {a.name}")
     h = local_complement(g, k0)
     h = local_complement(h, a)
@@ -258,13 +270,11 @@ def eligible_k0(aug: AugmentedGraph) -> tuple[LabeledVertex, ...]:
 
     Case I draws them from QLAN 1, Case II from QLAN 2.
     """
+    g = aug.graph
     source = Qlan.Q1 if aug.case is AugmentationCase.CASE_I else Qlan.Q2
-    out = [
-        c
-        for c in aug.graph.clients(source)
-        if c not in aug.retained and aug.graph.has_edge(c, aug.s2)
-    ]
-    return tuple(sorted(out, key=vertex_sort_key))
+    held = sum(g.bit(r) for r in aug.retained)
+    wired = g.row(aug.s2) & g.client_mask(source) & ~held
+    return tuple(g.order[i] for i in bit_indices(wired))
 
 
 def default_k0(aug: AugmentedGraph) -> LabeledVertex:
@@ -297,18 +307,18 @@ def run_pipeline(
         )
     s1, s2 = aug.s1, aug.s2
     g1, rec1 = measure_x(aug.graph, s2, k0, step_index=0)
-    if k0 not in neighbors(g1, s1):
+    if not g1.has_edge(s1, k0):
         raise InternalAssertionError(
             f"k0 {k0.name} should be adjacent to s1 after the first measurement; it is not"
         )
     g2, rec2 = measure_x(g1, s1, k0, step_index=1)
     if g2.supers():
         raise InternalAssertionError("pipeline output still contains a super-node")
-    for e in g2.edges:
-        if e[0].qlan is e[1].qlan:
-            raise InternalAssertionError(
-                f"pipeline output has intra-QLAN edge ({e[0].name}, {e[1].name})"
-            )
+    e = first_intra_qlan_edge(g2)
+    if e is not None:
+        raise InternalAssertionError(
+            f"pipeline output has intra-QLAN edge ({e[0].name}, {e[1].name})"
+        )
     return g2, [rec1, rec2]
 
 
@@ -317,7 +327,7 @@ def run_pipeline(
 
 def _graph_snapshot(g: InterQlanGraph) -> dict:
     return {
-        "vertices": [v.name for v in sorted(g.vertices, key=vertex_sort_key)],
+        "vertices": [v.name for v in g.order],
         "edges": edges_as_names(g),
     }
 

@@ -126,6 +126,13 @@ def test_complement_rejects_a_too_deeply_nested_scenario_file(runner, tmp_path):
     assert "too deep" in assert_one_json_error(result, 1)["message"]
 
 
+@pytest.mark.parametrize("flag", ["--k0=1.\u00b2", "--retain=2.\u00b2", "--retain=1.1,1.\u2460"])
+def test_flag_names_with_non_decimal_digits_are_validation_errors(runner, tmp_path, flag):
+    # "\u00b2".isdigit() is true but int() rejects it
+    result = invoke(runner, "complement", "--scenario", "fig2", "--out", tmp_path, flag)
+    assert "cannot parse" in assert_one_json_error(result, 1)["message"]
+
+
 def test_complement_missing_scenario_file(runner, tmp_path):
     result = invoke(runner, "complement", "--scenario", tmp_path / "none.json",
                     "--out", tmp_path)
@@ -186,6 +193,21 @@ def test_compare_fig1_shows_the_parallel_service_gap(runner, tmp_path):
     assert report["tqr"]["rounds"] >= 2
     assert report["complement"]["measurement_count"] == 2
     assert "proactive" in result.output and "reactive" in result.output
+
+
+def test_compare_without_requests_writes_strict_json(runner, tmp_path):
+    # no requests and run_when_empty false: the complement side runs 0 rounds,
+    # so there is no rounds ratio; the report must say null, not Infinity
+    path = write_scenario(tmp_path, requests=[], run_when_empty=False)
+    result = invoke(runner, "compare", "--scenario", path, "--out", tmp_path / "out")
+    assert result.exit_code == 0, result.output
+
+    def reject(constant):
+        raise ValueError(f"comparison.json holds the non-standard JSON constant {constant}")
+
+    report = json.loads((tmp_path / "out" / "comparison.json").read_text(), parse_constant=reject)
+    assert report["complement"]["rounds"] == 0
+    assert report["rounds_ratio"] is None
 
 
 def test_compare_csv_artifact(runner, tmp_path):
@@ -298,6 +320,54 @@ def test_any_scenario_file_takes_a_documented_exit_path(runner, tmp_path, conten
     path = tmp_path / "fuzz.json"
     path.write_bytes(content)
     result = invoke(runner, command, "--scenario", path, "--out", tmp_path / "out")
+    assert result.exit_code in (0, 1, 2, 3), result.output
+    if result.exit_code:
+        assert_one_json_error(result, result.exit_code)
+    else:
+        assert result.exception is None
+
+
+# The command-line flags: names from every class (valid, super, out of range,
+# malformed, arbitrary text), repeated, on a valid scenario of at most 4+4
+# clients. ``--case`` takes only I and II; click rejects any other value as a
+# usage error before the command runs.
+_FLAG_NAMES = st.one_of(
+    st.sampled_from(["1.1", "1.2", "1.4", "2.1", "2.3", "2.4", "1.5", "2.9", "1.0", "01.1",
+                     "1.01", "3.1", "s1", "s2", "1.-1", "1.\u00b2", "1.\u0663", "x", "", " 1.1"]),
+    st.text(max_size=4),
+)
+
+
+@st.composite
+def _flag_runs(draw):
+    n1, n2 = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    pairs = [(f"1.{i}", f"2.{j}") for i in range(1, n1 + 1) for j in range(1, n2 + 1)]
+    links = [p for p in pairs if draw(st.booleans())]
+    names = sorted(f"1.{i}" for i in range(1, n1 + 1)) + sorted(f"2.{j}" for j in range(1, n2 + 1))
+    scenario = {
+        "qlan1": n1, "qlan2": n2, "inter_links": links,
+        "physical_links": list(zip(names, names[1:])),
+        "requests": [p for p in pairs if p not in links][:draw(st.integers(0, 3))],
+        "run_when_empty": draw(st.booleans()),
+    }
+    command = draw(st.sampled_from(["complement", "verify", "compare"]))
+    flags = []
+    if draw(st.booleans()):
+        flags.append("--case=" + draw(st.sampled_from(["I", "II"])))
+    if draw(st.booleans()):
+        flags.append("--retain=" + ",".join(draw(st.lists(_FLAG_NAMES, max_size=4))))
+    if command != "compare" and draw(st.booleans()):
+        flags.append("--k0=" + draw(_FLAG_NAMES))
+    return scenario, command, flags
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(run=_flag_runs())
+def test_any_flag_value_takes_a_documented_exit_path(runner, tmp_path, run):
+    scenario, command, flags = run
+    path = tmp_path / "flags.json"
+    path.write_text(json.dumps(scenario))
+    result = invoke(runner, command, "--scenario", path, "--out", tmp_path / "out", *flags)
     assert result.exit_code in (0, 1, 2, 3), result.output
     if result.exit_code:
         assert_one_json_error(result, result.exit_code)

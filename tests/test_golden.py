@@ -1,0 +1,73 @@
+"""Golden report digests: the CLI's report files, byte for byte.
+
+Each case runs one CLI command in process and hashes every file it
+writes. The recorded sha256 digests live in ``golden_digests.json``; a
+change to the graph core, the switch, routing or serialization that
+alters a single report byte fails here. After a deliberate change to the
+report format, print fresh digests with
+
+    PYTHONPATH=src python tests/test_golden.py
+
+and replace the fixture with the output.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import random
+import sys
+import tempfile
+from pathlib import Path
+
+import pytest
+from click.testing import CliRunner
+
+from qlanroute.cli import main
+
+FIXTURE = Path(__file__).with_name("golden_digests.json")
+
+
+def _write_case_ii_scenario(work: Path) -> Path:
+    """A seeded 16+16 network, random inter-links at p = 0.5."""
+    rng = random.Random(16)
+    links = [[f"1.{i}", f"2.{j}"] for i in range(1, 17) for j in range(1, 17) if rng.random() < 0.5]
+    path = work / "golden16.json"
+    path.write_text(json.dumps({"name": "golden-16", "qlan1": 16, "qlan2": 16,
+                                "inter_links": links, "case": "I", "seed": 16}))
+    return path
+
+
+CASES = {
+    "sweep": lambda work: ["sweep", "--count", "100", "--seed", "7", "--normalize"],
+    "complement-fig2-dot": lambda work: ["complement", "--scenario", "fig2", "--format", "dot"],
+    "verify-exhaustive_small": lambda work: ["verify", "--scenario", "exhaustive_small", "--normalize"],
+    "compare-fig1": lambda work: ["compare", "--scenario", "fig1", "--normalize"],
+    "complement-16-case-ii-retain": lambda work: [
+        "complement", "--scenario", str(_write_case_ii_scenario(work)),
+        "--case", "II", "--retain", "1.3,1.9,2.4",
+    ],
+}
+
+
+def digests(case: str, work: Path) -> dict[str, str]:
+    """Run one case with its reports written under ``work``; sha256 per report file."""
+    out = work / "out"
+    result = CliRunner().invoke(main, CASES[case](work) + ["--out", str(out)])
+    assert result.exit_code == 0, result.output
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_reports_match_golden_digests(case, tmp_path):
+    expected = json.loads(FIXTURE.read_text())[case]
+    assert digests(case, tmp_path) == expected
+
+
+if __name__ == "__main__":
+    table = {}
+    for name in sorted(CASES):
+        with tempfile.TemporaryDirectory() as tmp:
+            table[name] = digests(name, Path(tmp))
+    json.dump(table, sys.stdout, indent=2, sort_keys=True)
+    sys.stdout.write("\n")

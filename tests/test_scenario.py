@@ -110,6 +110,17 @@ def test_complement_pairs_listing():
     assert len(comp) == len(complement_graph(g).edges)
 
 
+@pytest.mark.parametrize(
+    "link",
+    [("1.1", "1.2"), ("2.1", "2.2"), ("1.3", "2.1"), ("1.1", "2.3"), ("s1", "2.1")],
+)
+def test_scenario_graph_rejects_an_inter_link_that_does_not_join_both_qlans(link):
+    # a hand-built Scenario skips parse_scenario's name checks
+    sc = Scenario(n1=2, n2=2, inter_links=(link,))
+    with pytest.raises(ValidationError, match="does not join"):
+        scenario_graph(sc)
+
+
 def test_random_scenario_is_seed_deterministic():
     a = random_scenario(123)
     b = random_scenario(123)
