@@ -26,6 +26,7 @@ from . import __version__
 from .errors import CapacityError, InternalAssertionError, ValidationError
 from .graph import (
     InterQlanGraph,
+    Qlan,
     complement_graph,
     edges_as_names,
     graph_to_json,
@@ -217,12 +218,8 @@ def cmd_verify(scenario_ref, out_dir, seed, case, retain, k0_name, normalize, co
     _, _, aug, final, records = _switch(scenario_ref, seed, case, retain, k0_name)
     claimed = final
     if corrupt:
-        clients = final.clients()
-        q1, q2 = [v for v in clients if v.qlan.value == 1], [v for v in clients if v.qlan.value == 2]
-        pair = make_edge(q1[0], q2[0])
-        edges = set(final.edges)
-        edges.symmetric_difference_update({pair})
-        claimed = InterQlanGraph(final.vertices, frozenset(edges))
+        pair = make_edge(final.clients(Qlan.Q1)[0], final.clients(Qlan.Q2)[0])
+        claimed = InterQlanGraph(final.vertices, final.edges ^ {pair})
     report = verify_pipeline(aug.graph, records, claimed)
     out = Path(out_dir)
     _write_json(out / "verification.json", report.to_json(normalize=normalize))

@@ -14,7 +14,9 @@ vertex, bit ``j`` of row ``i`` set when vertex ``i`` is adjacent to vertex
 ``j``. Local complementation at ``v`` is one XOR per neighbor of ``v``,
 deletion compresses one bit out of every row, and the bipartite
 complement is one mask operation per client. Walking the rows in index
-order yields the edges already in canonical order, so export never sorts.
+order yields the edges already in canonical order, so export never sorts;
+likewise :func:`neighbors` and :func:`complement_neighborhood` read one
+row mask and return a tuple of vertices in canonical order.
 
 :class:`LabeledVertex` objects and their names appear only at the
 boundaries: the public constructor, lookups by vertex, and export. The
@@ -139,28 +141,6 @@ def bit_indices(mask: int) -> list[int]:
         out.append(low.bit_length() - 1)
         mask ^= low
     return out
-
-
-@dataclass(frozen=True)
-class Neighborhood:
-    """The set of vertices adjacent to ``center`` in some graph."""
-
-    center: LabeledVertex
-    members: frozenset[LabeledVertex]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "members", frozenset(self.members))
-        if self.center in self.members:
-            raise ValidationError(f"neighborhood of {self.center.name} cannot contain itself")
-
-    def __contains__(self, v: LabeledVertex) -> bool:
-        return v in self.members
-
-    def __iter__(self):
-        return iter(sorted(self.members, key=vertex_sort_key))
-
-    def __len__(self) -> int:
-        return len(self.members)
 
 
 _SUPERS_START = (True, 0, 0)  # sorts after every client key, before every super key
@@ -349,13 +329,16 @@ def client_graph(n1: int, n2: int, links: Iterable[tuple[int, int]] = ()) -> Int
     return InterQlanGraph._from_rows(order, rows)
 
 
-def neighbors(g: InterQlanGraph, v: LabeledVertex) -> Neighborhood:
-    """All vertices adjacent to ``v``, in either QLAN, super-nodes included."""
-    return Neighborhood(v, frozenset(g.order[k] for k in bit_indices(g.row(v))))
+def neighbors(g: InterQlanGraph, v: LabeledVertex) -> tuple[LabeledVertex, ...]:
+    """All vertices adjacent to ``v``, in either QLAN, super-nodes included,
+    in canonical order."""
+    order = g.order
+    return tuple(order[k] for k in bit_indices(g.row(v)))
 
 
-def complement_neighborhood(g: InterQlanGraph, v: LabeledVertex) -> Neighborhood:
-    """Opposite-QLAN clients that are remote from (not adjacent to) ``v``.
+def complement_neighborhood(g: InterQlanGraph, v: LabeledVertex) -> tuple[LabeledVertex, ...]:
+    """Opposite-QLAN clients that are remote from (not adjacent to) ``v``, in
+    canonical order.
 
     Defined for client vertices of the Inter-QLAN proper; super-nodes are
     excluded both as centers and as members.
@@ -365,8 +348,8 @@ def complement_neighborhood(g: InterQlanGraph, v: LabeledVertex) -> Neighborhood
         raise ValidationError(
             f"complement neighborhood is defined for client vertices, not super-node {v.name}"
         )
-    remote = g.client_mask(v.qlan.other) & ~row
-    return Neighborhood(v, frozenset(g.order[k] for k in bit_indices(remote)))
+    order = g.order
+    return tuple(order[k] for k in bit_indices(g.client_mask(v.qlan.other) & ~row))
 
 
 def local_complement(g: InterQlanGraph, v: LabeledVertex) -> InterQlanGraph:

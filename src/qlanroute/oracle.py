@@ -8,8 +8,10 @@ of the rule output with fidelity 1 on every outcome branch.
 
 Conventions
 -----------
-* Qubit order is row-major by (qlan, index) with super-nodes last, and is
-  recorded on every state so amplitude vectors are comparable across runs.
+* Qubit ``i`` of a prepared state is vertex ``g.order[i]``, the graph's
+  canonical order (row-major by (qlan, index), super-nodes last), and the
+  order is recorded on every state so amplitude vectors are comparable
+  across runs.
 * ``amplitudes`` is a dense complex vector of length 2**n; qubit i owns
   axis i of the (2,)*n reshape, i.e. bit i counted from the most
   significant end.
@@ -25,6 +27,10 @@ state is returned to graph-state form by:
     outcome +1:  exp(-i pi/4 Y_k0)  then  Z_b for b in N(a) \\ (N(k0) u {k0})
     outcome -1:  exp(+i pi/4 Y_k0)  then  Z_b for b in N(k0) \\ (N(a) u {a})
 
+Each Z-target set is one mask over the pre-measurement adjacency rows,
+``row(a) & ~row(k0) & ~bit(k0)`` for +1 and the mirror for -1, listed in
+bit order, which is the canonical order.
+
 This is the standard local-byproduct table for graph-state X measurements
 (Hein, Duer, Eisert, Raussendorf, Van den Nest, Briegel, "Entanglement in
 graph states and its applications", arXiv:quant-ph/0602096, Sec. 2); the
@@ -37,12 +43,12 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import CapacityError, InternalAssertionError, UnknownVertexError, ValidationError
-from .graph import InterQlanGraph, LabeledVertex, edge_indices, neighbors, vertex_sort_key
+from .graph import InterQlanGraph, LabeledVertex, bit_indices, edge_indices, neighbors
 from .switching import MeasurementRecord, measure_x
 
 MAX_QUBITS = 14
@@ -51,10 +57,6 @@ FIDELITY_TOL = 1e-9
 
 _RY_MINUS = np.array([[1, -1], [1, 1]], dtype=complex) / np.sqrt(2)  # exp(-i pi/4 Y)
 _RY_PLUS = np.array([[1, 1], [-1, 1]], dtype=complex) / np.sqrt(2)  # exp(+i pi/4 Y)
-
-
-def canonical_qubit_order(vertices: Iterable[LabeledVertex]) -> tuple[LabeledVertex, ...]:
-    return tuple(sorted(vertices, key=vertex_sort_key))
 
 
 @dataclass(frozen=True)
@@ -105,14 +107,14 @@ class MeasurementOutcome:
 
 
 def prepare_graph_state(g: InterQlanGraph) -> QuantumState:
-    """|+>^n followed by one CZ per edge, in canonical qubit order."""
-    n = len(g.vertices)
+    """|+>^n followed by one CZ per edge; qubit ``i`` is ``g.order[i]``."""
+    n = len(g.order)
     if n > MAX_QUBITS:
         raise CapacityError(
             f"{n} qubits exceed the {MAX_QUBITS}-qubit dense-vector capacity; use a smaller graph"
         )
     psi = np.full((2,) * n, 2 ** (-n / 2), dtype=complex)
-    for (i, j) in edge_indices(g):  # g.order is the canonical qubit order
+    for (i, j) in edge_indices(g):
         idx: list = [slice(None)] * n
         idx[i] = 1
         idx[j] = 1
@@ -134,7 +136,7 @@ def _apply_1q(tensor: np.ndarray, axis: int, matrix: np.ndarray) -> np.ndarray:
 
 
 def apply_pauli(state: QuantumState, kind: str, v: LabeledVertex) -> QuantumState:
-    """Apply a single-qubit Pauli (kind in 'X', 'Y', 'Z') to vertex v.
+    """Apply a single-qubit Pauli (kind 'X' or 'Z') to vertex v.
 
     Used by the stabilizer-expectation oracle; independent of how the
     state was prepared.
@@ -145,16 +147,6 @@ def apply_pauli(state: QuantumState, kind: str, v: LabeledVertex) -> QuantumStat
         t = _apply_z(t, axis)
     elif kind == "X":
         t = np.flip(t, axis=axis)
-    elif kind == "Y":
-        t = np.flip(t, axis=axis)
-        idx0: list = [slice(None)] * t.ndim
-        idx0[axis] = 0
-        idx1: list = [slice(None)] * t.ndim
-        idx1[axis] = 1
-        out = t.astype(complex).copy()
-        out[tuple(idx0)] *= -1j
-        out[tuple(idx1)] *= 1j
-        t = out
     else:
         raise ValidationError(f"unknown Pauli kind {kind!r}")
     return QuantumState(t.reshape(-1), state.qubit_order)
@@ -220,20 +212,22 @@ def x_correction_ops(
     k0: LabeledVertex,
     outcome: int,
 ) -> list[tuple[str, LabeledVertex]]:
-    """The local byproduct operators for one X measurement, per the table above."""
-    n_v = neighbors(g_pre, v).members
-    n_k0 = neighbors(g_pre, k0).members
-    if k0 not in n_v:
+    """The local byproduct operators for one X measurement, per the table above:
+    the Z targets in canonical order, then the rotation on ``k0``."""
+    i, j = g_pre.position(v), g_pre.position(k0)
+    row_v, row_k0 = g_pre.rows[i], g_pre.rows[j]
+    if not row_v >> j & 1:
         raise ValidationError(f"k0 {k0.name} was not adjacent to {v.name} before the measurement")
     if outcome == +1:
-        z_targets = n_v - n_k0 - {k0}
+        z_targets = row_v & ~row_k0 & ~(1 << j)
         rotation = "ry-"
     elif outcome == -1:
-        z_targets = n_k0 - n_v - {v}
+        z_targets = row_k0 & ~row_v & ~(1 << i)
         rotation = "ry+"
     else:
         raise ValidationError(f"outcome must be +1 or -1, got {outcome}")
-    ops: list[tuple[str, LabeledVertex]] = [("z", b) for b in sorted(z_targets, key=vertex_sort_key)]
+    order = g_pre.order
+    ops: list[tuple[str, LabeledVertex]] = [("z", order[b]) for b in bit_indices(z_targets)]
     ops.append((rotation, k0))
     return ops
 
@@ -354,28 +348,30 @@ def verify_pipeline(
 ) -> VerificationReport:
     """Certify that a measurement pipeline really produces ``claimed``.
 
-    Prepares the graph state of ``g``, replays every recorded measurement
-    for each outcome combination (all 2**k by default, or the ``branches``
-    subset), applies the byproduct corrections, and compares against the
-    graph state of ``claimed``. Success means every branch reaches
-    fidelity 1 within 1e-9.
+    Prepares the graph state of ``g`` once and, from it, replays every
+    recorded measurement for each outcome combination (all 2**k by
+    default, or the ``branches`` subset), applies the byproduct
+    corrections, and compares against the graph state of ``claimed``.
+    Branches share the start state safely because every step returns a
+    new array. Success means every branch reaches fidelity 1 within 1e-9.
     """
-    if len(g.vertices) > MAX_QUBITS:
+    if len(g.order) > MAX_QUBITS:
         raise CapacityError(
-            f"{len(g.vertices)} qubits exceed the {MAX_QUBITS}-qubit capacity; use a smaller graph"
+            f"{len(g.order)} qubits exceed the {MAX_QUBITS}-qubit capacity; use a smaller graph"
         )
     replay_records(g, pipeline)
     if branches is None:
         branches = list(product((+1, -1), repeat=len(pipeline)))
     t0 = time.perf_counter()
     target = prepare_graph_state(claimed)
+    start = prepare_graph_state(g)
     results = []
     for combo in branches:
         if len(combo) != len(pipeline):
             raise ValidationError(
                 f"branch {combo} does not assign one outcome per measurement"
             )
-        state = prepare_graph_state(g)
+        state = start
         notes = []
         for record, outcome in zip(pipeline, combo):
             state, _ = project_x(state, record.measured_vertex, forced_outcome=outcome)

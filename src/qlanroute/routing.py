@@ -178,20 +178,10 @@ def _path_demands(path: Sequence[str]) -> dict[str, int]:
     return demands
 
 
-def _admissible(path: Sequence[str], usage: Mapping[str, int], topo: PhysicalTopology) -> bool:
-    for node, demand in _path_demands(path).items():
-        cap = topo.comm_qubits[node]
-        if usage[node] + demand <= cap:
-            continue
-        if usage[node] == 0 and demand == 2 and cap == 1:
-            continue  # lone transit on minimum hardware: time-shared
-        return False
-    return True
-
-
 def run_tqr(topo: PhysicalTopology, reqs: RequestSet) -> RoutingReport:
     """Reactive baseline: per-round greedy admission under qubit budgets."""
-    paths: dict[int, list[str]] = {}
+    cap = topo.comm_qubits
+    needs: dict[int, list[tuple[str, int, int]]] = {}  # (node, demand, limit) along each path
     failed: list[tuple[int, str]] = []
     pending: list[int] = []
     for i, (src, dst) in enumerate(reqs):
@@ -199,7 +189,8 @@ def run_tqr(topo: PhysicalTopology, reqs: RequestSet) -> RoutingReport:
         if not path:
             failed.append((i, "disconnected"))
         else:
-            paths[i] = path
+            # max(cap, d): a 1-qubit repeater still carries one lone transit, time-shared
+            needs[i] = [(n, d, max(cap[n], d)) for n, d in _path_demands(path).items()]
             pending.append(i)
     rounds = 0
     swaps = 0
@@ -210,13 +201,15 @@ def run_tqr(topo: PhysicalTopology, reqs: RequestSet) -> RoutingReport:
         usage: dict[str, int] = defaultdict(int)
         admitted: list[int] = []
         for i in pending:
-            path = paths[i]
-            if not _admissible(path, usage, topo):
-                continue
-            for node, demand in _path_demands(path).items():
-                usage[node] += demand
-            admitted.append(i)
-            swaps += max(len(path) - 2, 0)
+            need = needs[i]
+            for n, d, limit in need:
+                if usage[n] + d > limit:
+                    break
+            else:
+                for n, d, _ in need:
+                    usage[n] += d
+                admitted.append(i)
+                swaps += len(need) - 2  # one swap per transit node
         if not admitted:
             # unreachable under the minimum-hardware guarantee; guard anyway
             failed.extend((i, "insufficient communication qubits") for i in pending)
@@ -269,7 +262,7 @@ def execute_complement(
                 raise UnknownVertexError(f"request endpoint {name!r} is not a client of the graph")
         resolved.append((i, known[s], known[d]))
     if not resolved and not run_when_empty:
-        report = RoutingReport(COMPLEMENT, 0, 0, 0, (), (), {v.name: 0 for v in g.vertices})
+        report = RoutingReport(COMPLEMENT, 0, 0, 0, (), (), {v.name: 0 for v in g.order})
         return ComplementRun(report, None, None, ())
     retained = frozenset(retain)
     aug = (augment_case1 if case is AugmentationCase.CASE_I else augment_case2)(g, retained)

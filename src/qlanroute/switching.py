@@ -210,7 +210,7 @@ def promote_super(
     """
     retained = _check_augmentable(g, retain)
     for v, q in ((v1, Qlan.Q1), (v2, Qlan.Q2)):
-        if v not in g.vertices or v.is_super or v.qlan is not q:
+        if v not in g or v.is_super or v.qlan is not q:
             raise ValidationError(f"promotion target {v.name} must be a QLAN {q.value} client")
         if v in retained:
             raise ValidationError(f"promotion target {v.name} cannot also be retained")

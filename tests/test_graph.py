@@ -27,6 +27,7 @@ from qlanroute.graph import (
     super_node,
     to_dot,
     vertex_from_name,
+    vertex_sort_key,
 )
 
 from helpers import (
@@ -105,7 +106,7 @@ def test_neighbors_isolated_vertex_is_empty():
 
 def test_neighbors_single_edge():
     g = client_graph(1, 1, [(1, 1)])
-    assert neighbors(g, client(1, 1)).members == frozenset({client(2, 1)})
+    assert frozenset(neighbors(g, client(1, 1))) == frozenset({client(2, 1)})
 
 
 def test_neighbors_unknown_vertex():
@@ -126,7 +127,17 @@ def test_neighbors_matches_independent_edge_scan():
                     scanned.add(y)
                 if y == v:
                     scanned.add(x)
-            assert neighbors(g, v).members == frozenset(scanned)
+            assert frozenset(neighbors(g, v)) == frozenset(scanned)
+
+
+@given(plain_graphs())
+def test_neighborhoods_are_tuples_in_canonical_order(g):
+    for v in g.order:
+        near = neighbors(g, v)
+        assert isinstance(near, tuple) and list(near) == sorted(near, key=vertex_sort_key)
+        if not v.is_super:
+            far = complement_neighborhood(g, v)
+            assert isinstance(far, tuple) and list(far) == sorted(far, key=vertex_sort_key)
 
 
 # -- complement neighborhood ----------------------------------------------
@@ -140,7 +151,7 @@ def test_complement_neighborhood_complete_bipartite_is_empty():
 
 def test_complement_neighborhood_edgeless_is_full_opposite_qlan():
     g = client_graph(2, 2)
-    assert complement_neighborhood(g, client(1, 1)).members == frozenset(
+    assert frozenset(complement_neighborhood(g, client(1, 1))) == frozenset(
         {client(2, 1), client(2, 2)}
     )
 
@@ -151,8 +162,8 @@ def test_complement_neighborhood_matches_set_difference():
         g = random_client_graph(rng, 3, 4)
         for v in g.clients():
             opposite = set(g.clients(v.qlan.other))
-            expected = opposite - set(neighbors(g, v).members)
-            assert complement_neighborhood(g, v).members == frozenset(expected)
+            expected = opposite - set(neighbors(g, v))
+            assert frozenset(complement_neighborhood(g, v)) == frozenset(expected)
 
 
 def test_complement_neighborhood_rejects_super():
@@ -166,7 +177,7 @@ def test_complement_neighborhood_rejects_super():
 def test_complement_neighborhood_excludes_supers_from_members():
     a, b, s2 = client(1, 1), client(2, 1), super_node(2)
     g = InterQlanGraph(frozenset({a, b, s2}), frozenset())
-    assert complement_neighborhood(g, a).members == frozenset({b})
+    assert frozenset(complement_neighborhood(g, a)) == frozenset({b})
 
 
 # -- local complementation -------------------------------------------------
@@ -281,8 +292,8 @@ def test_edge_counts_partition_all_cross_pairs(g):
 @given(client_graphs())
 def test_neighbors_and_complement_partition_opposite_qlan(g):
     for v in g.clients():
-        near = neighbors(g, v).members
-        far = complement_neighborhood(g, v).members
+        near = frozenset(neighbors(g, v))
+        far = frozenset(complement_neighborhood(g, v))
         assert near & far == frozenset()
         assert near | far == frozenset(g.clients(v.qlan.other))
 

@@ -6,6 +6,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from qlanroute.errors import (
     CapacityError,
@@ -20,17 +21,18 @@ from qlanroute.graph import (
     complement_graph,
     make_edge,
     super_node,
+    vertex_sort_key,
 )
 from qlanroute.oracle import (
     MeasurementOutcome,
     QuantumState,
     apply_x_corrections,
-    canonical_qubit_order,
     fidelity,
     prepare_graph_state,
     project_x,
     stabilizer_expectation,
     verify_pipeline,
+    x_correction_ops,
 )
 from qlanroute.switching import (
     augment_case1,
@@ -39,7 +41,7 @@ from qlanroute.switching import (
     run_pipeline,
 )
 
-from helpers import random_plain_graph
+from helpers import plain_graphs, random_client_graph, random_plain_graph
 
 INV_SQRT2 = 1 / np.sqrt(2)
 
@@ -184,6 +186,28 @@ def test_corrected_state_matches_graph_rule_for_both_outcomes():
             checked += 1
 
 
+def ref_correction_ops(g, a, k0, outcome):
+    """The byproduct table evaluated on neighbor sets scanned from the edge list."""
+    def nbrs(v):
+        return {x for e in g.edges if v in e for x in e if x != v}
+
+    if outcome == +1:
+        targets, rotation = nbrs(a) - nbrs(k0) - {k0}, "ry-"
+    else:
+        targets, rotation = nbrs(k0) - nbrs(a) - {a}, "ry+"
+    return [("z", b) for b in sorted(targets, key=vertex_sort_key)] + [(rotation, k0)]
+
+
+@settings(max_examples=100)
+@given(plain_graphs())
+def test_correction_ops_match_the_set_reference(g):
+    for a in g.order:
+        for k0 in g.order:
+            if k0 != a and g.has_edge(a, k0):
+                for outcome in (+1, -1):
+                    assert x_correction_ops(g, a, k0, outcome) == ref_correction_ops(g, a, k0, outcome)
+
+
 def test_correction_rejects_non_neighbor_k0():
     g = client_graph(2, 1, [(1, 1)])
     state = prepare_graph_state(g)
@@ -287,6 +311,22 @@ def test_verify_accepts_forced_branch_subset():
     assert report.branches[0].outcome_string == "+-"
 
 
+@pytest.mark.parametrize("augment", [augment_case1, augment_case2])
+def test_verify_branches_are_independent_of_each_other(augment):
+    # every branch starts from one shared input state: a branch run alone
+    # must match the same branch of the full run, and reruns must agree
+    g = random_client_graph(random.Random(5), 3, 3)
+    aug = augment(g)
+    final, records = run_pipeline(aug)
+    full = verify_pipeline(aug.graph, records, final)
+    assert len(full.branches) == 4
+    for b in full.branches:
+        alone = verify_pipeline(aug.graph, records, final, branches=[b.outcomes]).branches[0]
+        assert (alone.outcomes, alone.fidelity, alone.corrections) == (b.outcomes, b.fidelity, b.corrections)
+    again = verify_pipeline(aug.graph, records, final)
+    assert again.to_json(normalize=True) == full.to_json(normalize=True)
+
+
 def test_verify_rejects_inconsistent_records():
     g = client_graph(2, 2, [(1, 2)])
     aug = augment_case1(g)
@@ -328,5 +368,5 @@ def test_measurement_outcome_validates_result():
 def test_canonical_order_is_stable():
     g = client_graph(2, 2)
     aug = augment_case1(g)
-    order = canonical_qubit_order(aug.graph.vertices)
+    order = prepare_graph_state(aug.graph).qubit_order
     assert [v.name for v in order] == ["1.1", "1.2", "2.1", "2.2", "s1", "s2"]

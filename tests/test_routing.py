@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qlanroute.errors import UnknownVertexError, ValidationError
 from qlanroute.graph import client, client_graph, complement_graph, make_edge
@@ -133,6 +135,61 @@ def test_tqr_accounts_every_request_exactly_once():
         report = run_tqr(t, reqs)
         seen = sorted(report.served) + sorted(i for i, _ in report.failed)
         assert sorted(seen) == list(range(5))
+
+
+def ref_tqr(t: PhysicalTopology, reqs: RequestSet):
+    """The README's baseline rules, admission written out node by node.
+
+    Greedy in input order, one batch per round; a path claims 1 qubit at
+    each endpoint and 2 at each transit; a 1-qubit repeater still carries
+    one transit alone (time-sharing); each served path costs length - 2 swaps.
+    """
+    paths = [find_path(t, s, d) for (s, d) in reqs]
+    waiting = [i for i, p in enumerate(paths) if p]
+    rounds, swaps, served = 0, 0, []
+    peak = {n: 0 for n in t.nodes}
+    while waiting:
+        rounds += 1
+        load = {n: 0 for n in t.nodes}
+        batch = []
+        for i in waiting:
+            path = paths[i]
+            claim = {path[0]: 1, path[-1]: 1}
+            claim.update((n, 2) for n in path[1:-1])
+            fits = True
+            for n, q in claim.items():
+                budget = t.comm_qubits[n]
+                alone_on_one_qubit = budget == 1 and q == 2 and load[n] == 0
+                if load[n] + q > budget and not alone_on_one_qubit:
+                    fits = False
+            if fits:
+                for n, q in claim.items():
+                    load[n] += q
+                batch.append(i)
+                swaps += len(path) - 2
+        assert batch, "the time-sharing rule always admits the first waiting request"
+        for n in t.nodes:
+            peak[n] = max(peak[n], load[n])
+        served += batch
+        waiting = [i for i in waiting if i not in batch]
+    return rounds, tuple(served), swaps, peak
+
+
+@settings(max_examples=150)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_tqr_admission_matches_the_readme_rules_on_mixed_budgets(seed):
+    rng = random.Random(seed)
+    nodes = [f"n{i}" for i in range(rng.randint(3, 9))]
+    links = {(a, b) for a in nodes for b in nodes if a < b and rng.random() < 0.35}
+    t = topo(nodes, links, {n: rng.choice([1, 2, 3]) for n in nodes})
+    pairs = [(a, b) for a in nodes for b in nodes if a != b]
+    reqs = RequestSet(tuple(rng.choice(pairs) for _ in range(rng.randint(1, 10))))
+    report = run_tqr(t, reqs)
+    rounds, served, swaps, peak = ref_tqr(t, reqs)
+    assert report.rounds == rounds
+    assert report.served == served
+    assert report.swap_count == swaps
+    assert dict(report.comm_qubit_peak) == peak
 
 
 def test_request_set_rejects_loopback():

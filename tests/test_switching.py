@@ -395,7 +395,7 @@ def test_mirror_order_with_fixed_mirror_k0_also_switches():
         aug = augment_case1(g)
         k0 = next(iter(c for c in aug.graph.clients(Qlan.Q2) if aug.graph.has_edge(c, aug.s1)))
         mid, _ = measure_x(aug.graph, aug.s1, k0)
-        assert k0 in neighbors(mid, aug.s2).members
+        assert k0 in frozenset(neighbors(mid, aug.s2))
         final, _ = measure_x(mid, aug.s2, k0)
         assert final == complement_graph(g)
 
@@ -414,7 +414,7 @@ def test_distinct_k0_per_step_works_only_within_the_designated_qlan():
         ref = complement_graph(g)
         k0a = next(c for c in aug.graph.clients(Qlan.Q1) if aug.graph.has_edge(c, aug.s2))
         mid, _ = measure_x(aug.graph, aug.s2, k0a)
-        for k0b in (v for v in neighbors(mid, aug.s1).members if not v.is_super):
+        for k0b in (v for v in frozenset(neighbors(mid, aug.s1)) if not v.is_super):
             final, _ = measure_x(mid, aug.s1, k0b)
             if k0b.qlan is Qlan.Q1:
                 same_side_deviations += final != ref
