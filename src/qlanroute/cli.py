@@ -24,16 +24,7 @@ import click
 
 from . import __version__
 from .errors import CapacityError, InternalAssertionError, ValidationError
-from .graph import (
-    InterQlanGraph,
-    Qlan,
-    complement_graph,
-    edges_as_names,
-    graph_to_json,
-    make_edge,
-    to_dot,
-    vertex_from_name,
-)
+from .graph import complement_graph, edges_as_names, graph_to_json, to_dot, vertex_from_name
 from .oracle import verify_pipeline
 from .routing import compare as compare_strategies
 from .scenario import (
@@ -71,7 +62,8 @@ def _guarded(fn):
 
 
 def _fail(code: int, kind: str, exc: Exception) -> None:
-    click.echo(json.dumps({"error": {"kind": kind, "message": str(exc)}}, sort_keys=True), err=True)
+    sys.stdout.flush()  # what a command printed comes before its error line
+    print(json.dumps({"error": {"kind": kind, "message": str(exc)}}, sort_keys=True), file=sys.stderr)
     sys.exit(code)
 
 
@@ -194,12 +186,12 @@ def cmd_complement(scenario_ref, out_dir, seed, case, retain, k0_name, fmt, orac
             raise InternalAssertionError(
                 f"oracle rejected the pipeline output (min fidelity {report.min_fidelity})"
             )
-    click.echo(f"switched {sc.n1}+{sc.n2} network (case {sc.case}) "
-               f"with {len(records)} measurements; k0 = {summary['k0']}")
-    click.echo(f"result: {final.edge_count} inter-links"
-               + ("" if matches is None else f"; matches declarative complement: {matches}")
-               + (f"; oracle: pass" if oracle else ""))
-    click.echo(f"reports written to {out}/")
+    print(f"switched {sc.n1}+{sc.n2} network (case {sc.case}) "
+          f"with {len(records)} measurements; k0 = {summary['k0']}")
+    print(f"result: {final.edge_count} inter-links"
+          + ("" if matches is None else f"; matches declarative complement: {matches}")
+          + (f"; oracle: pass" if oracle else ""))
+    print(f"reports written to {out}/")
 
 
 @main.command("verify")
@@ -217,17 +209,19 @@ def cmd_verify(scenario_ref, out_dir, seed, case, retain, k0_name, normalize, co
     """Replay the pipeline on the state-vector oracle over every outcome branch."""
     _, _, aug, final, records = _switch(scenario_ref, seed, case, retain, k0_name)
     claimed = final
-    if corrupt:
-        pair = make_edge(final.clients(Qlan.Q1)[0], final.clients(Qlan.Q2)[0])
-        claimed = InterQlanGraph(final.vertices, final.edges ^ {pair})
+    if corrupt:  # toggle the edge between the first client of each QLAN
+        rows, n1 = list(final.rows), final.n1
+        rows[0] ^= 1 << n1
+        rows[n1] ^= 1
+        claimed = final._with_rows(rows)
     report = verify_pipeline(aug.graph, records, claimed)
     out = Path(out_dir)
     _write_json(out / "verification.json", report.to_json(normalize=normalize))
     for b in report.branches:
-        click.echo(f"branch {b.outcome_string}: fidelity {b.fidelity:.12f} "
-                   f"{'pass' if b.passed else 'FAIL'}")
-    click.echo(f"verification {'passed' if report.passed else 'FAILED'} "
-               f"({len(report.branches)} branches, min fidelity {report.min_fidelity:.12f})")
+        print(f"branch {b.outcome_string}: fidelity {b.fidelity:.12f} "
+              f"{'pass' if b.passed else 'FAIL'}")
+    print(f"verification {'passed' if report.passed else 'FAILED'} "
+          f"({len(report.branches)} branches, min fidelity {report.min_fidelity:.12f})")
     if not report.passed:
         _fail(1, "verification_failed",
               ValidationError(f"{sum(not b.passed for b in report.branches)} branch(es) below tolerance"))
@@ -264,16 +258,16 @@ def cmd_compare(scenario_ref, out_dir, seed, case, retain, fmt, normalize):
     if fmt == "csv":
         _write_text(out / "comparison.csv", _comparison_csv([_sweep_row(0, sc.seed, sc, report)]))
     width = max(len(a["axis"]) for a in report.axes)
-    click.echo(f"{'':{width}}  {'TQR':34}  Complement")
+    print(f"{'':{width}}  {'TQR':34}  Complement")
     for axis in report.axes:
-        click.echo(f"{axis['axis']:{width}}  {axis['tqr']:34}  {axis['complement']}")
-    click.echo(f"{'rounds':{width}}  {report.tqr.rounds:<34}  {report.complement.rounds}")
-    click.echo(
+        print(f"{axis['axis']:{width}}  {axis['tqr']:34}  {axis['complement']}")
+    print(f"{'rounds':{width}}  {report.tqr.rounds:<34}  {report.complement.rounds}")
+    print(
         f"{'served':{width}}  "
         f"{f'{len(report.tqr.served)}/{len(sc.requests)}':<34}  "
         f"{len(report.complement.served)}/{len(sc.requests)}"
     )
-    click.echo(f"report written to {out / 'comparison.json'}")
+    print(f"report written to {out / 'comparison.json'}")
 
 
 _SWEEP_COLUMNS = [
@@ -353,9 +347,9 @@ def cmd_sweep(out_dir, count, seed, n1, n2, normalize):
         "comparisons": reports,
     })
     all_const = all(r["complement_rounds"] == 1 and r["complement_measurements"] == 2 for r in rows)
-    click.echo(f"swept {count} scenarios (master seed {seed})")
-    click.echo(f"complement cost constant at 1 round / 2 measurements: {all_const}")
-    click.echo(f"reports written to {out}/")
+    print(f"swept {count} scenarios (master seed {seed})")
+    print(f"complement cost constant at 1 round / 2 measurements: {all_const}")
+    print(f"reports written to {out}/")
 
 
 if __name__ == "__main__":

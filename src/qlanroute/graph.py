@@ -62,9 +62,8 @@ class LabeledVertex:
     """A network node tagged with its QLAN, an index and a role.
 
     Client indices are 1-based to match the textual ``"1.3"`` naming.
-    Super-nodes added by augmentation use index 0; a promoted super keeps
-    the index it had as a client. Either way a QLAN holds at most one
-    super-node, so super names are simply ``"s1"`` and ``"s2"``. The name
+    Super-nodes added by augmentation use index 0. A QLAN holds at most
+    one super-node, so super names are simply ``"s1"`` and ``"s2"``. The name
     and the hash are computed once, when the vertex is made.
     """
 
@@ -152,9 +151,9 @@ class InterQlanGraph:
 
     Stored as ``order``, the vertices in canonical order, and ``rows``,
     one adjacency bitmask per vertex in that order (bit ``j`` of
-    ``rows[i]`` joins ``order[i]`` and ``order[j]``). ``vertices`` and
-    ``edges`` are the frozenset views of the same graph, built on first
-    use; edges are canonical ``(u, v)`` tuples ordered by vertex sort key.
+    ``rows[i]`` joins ``order[i]`` and ``order[j]``). ``edges`` is the
+    frozenset view of the same edges, built on first use, of canonical
+    ``(u, v)`` tuples ordered by vertex sort key.
 
     The public constructor enforces structural sanity (endpoints present,
     no self-loops, unique (qlan, index) positions, at most one super-node
@@ -164,7 +163,7 @@ class InterQlanGraph:
     equality and hashing compare vertices and edges.
     """
 
-    __slots__ = ("order", "rows", "_keys", "_vertices", "_edges", "_hash")
+    __slots__ = ("order", "rows", "_keys", "_edges", "_hash")
 
     def __init__(self, vertices: Iterable[LabeledVertex], edges: Iterable[Edge]) -> None:
         canon = [make_edge(u, v) for (u, v) in edges]
@@ -195,7 +194,6 @@ class InterQlanGraph:
         set_(self, "order", order)
         set_(self, "_keys", keys)
         set_(self, "rows", rows)
-        set_(self, "_vertices", None)
         set_(self, "_edges", None)
         set_(self, "_hash", None)
 
@@ -216,20 +214,14 @@ class InterQlanGraph:
         raise AttributeError(f"InterQlanGraph is immutable; cannot set {name!r}")
 
     def __reduce__(self):
-        return (InterQlanGraph, (self.vertices, self.edges))
-
-    # -- views ---------------------------------------------------------
-
-    @property
-    def vertices(self) -> frozenset[LabeledVertex]:
-        if self._vertices is None:
-            object.__setattr__(self, "_vertices", frozenset(self.order))
-        return self._vertices
+        return (InterQlanGraph._from_rows, (self.order, self.rows))
 
     @property
     def edges(self) -> frozenset[Edge]:
         if self._edges is None:
-            object.__setattr__(self, "_edges", frozenset(sorted_edges(self)))
+            order = self.order
+            edges = frozenset((order[i], order[j]) for i, js in _upper_neighbors(self) for j in js)
+            object.__setattr__(self, "_edges", edges)
         return self._edges
 
     @property
@@ -431,11 +423,6 @@ def _upper_neighbors(g: InterQlanGraph, mask: int = -1) -> Iterator[tuple[int, l
 def edge_indices(g: InterQlanGraph) -> list[tuple[int, int]]:
     """Every edge as ``(i, j)`` positions with ``i < j``, in canonical edge order."""
     return [(i, j) for i, js in _upper_neighbors(g) for j in js]
-
-
-def sorted_edges(g: InterQlanGraph) -> list[Edge]:
-    order = g.order
-    return [(order[i], order[j]) for i, js in _upper_neighbors(g) for j in js]
 
 
 def edges_as_names(g: InterQlanGraph, mask: int = -1) -> list[list[str]]:

@@ -17,6 +17,9 @@ Conventions
   significant end.
 * Tolerances: 1e-10 for norms, 1e-9 for fidelity assertions. Double
   precision throughout. Capacity is capped at 14 qubits.
+* Outcomes are forced, never sampled: :func:`verify_pipeline` runs every
+  outcome branch, and :func:`project_x` builds only the branch it is
+  given.
 
 Correction table
 ----------------
@@ -29,7 +32,9 @@ state is returned to graph-state form by:
 
 Each Z-target set is one mask over the pre-measurement adjacency rows,
 ``row(a) & ~row(k0) & ~bit(k0)`` for +1 and the mirror for -1, listed in
-bit order, which is the canonical order.
+bit order, which is the canonical order. A verification evaluates the
+table once per (measurement, outcome); that one list feeds both the
+branch's correction note and :func:`apply_x_corrections`.
 
 This is the standard local-byproduct table for graph-state X measurements
 (Hein, Duer, Eisert, Raussendorf, Van den Nest, Briegel, "Entanglement in
@@ -48,7 +53,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import CapacityError, InternalAssertionError, UnknownVertexError, ValidationError
-from .graph import InterQlanGraph, LabeledVertex, bit_indices, edge_indices, neighbors
+from .graph import InterQlanGraph, LabeledVertex, bit_indices, edge_indices
 from .switching import MeasurementRecord, measure_x
 
 MAX_QUBITS = 14
@@ -95,17 +100,6 @@ class QuantumState:
         return self.amplitudes.reshape((2,) * self.n)
 
 
-@dataclass(frozen=True)
-class MeasurementOutcome:
-    vertex: LabeledVertex
-    basis: str
-    result: int
-
-    def __post_init__(self) -> None:
-        if self.result not in (+1, -1):
-            raise ValidationError(f"measurement result must be +1 or -1, got {self.result}")
-
-
 def prepare_graph_state(g: InterQlanGraph) -> QuantumState:
     """|+>^n followed by one CZ per edge; qubit ``i`` is ``g.order[i]``."""
     n = len(g.order)
@@ -135,75 +129,31 @@ def _apply_1q(tensor: np.ndarray, axis: int, matrix: np.ndarray) -> np.ndarray:
     return np.moveaxis(out, 0, axis)
 
 
-def apply_pauli(state: QuantumState, kind: str, v: LabeledVertex) -> QuantumState:
-    """Apply a single-qubit Pauli (kind 'X' or 'Z') to vertex v.
+def project_x(state: QuantumState, v: LabeledVertex, outcome: int) -> QuantumState:
+    """Projective X measurement on ``v`` with its ``outcome`` forced; removes
+    the measured qubit.
 
-    Used by the stabilizer-expectation oracle; independent of how the
-    state was prepared.
+    Builds only the forced branch ``(t + outcome * X_v t) / 2``. After
+    projection the measured qubit sits in a product |+> or |-> and is
+    factored out.
     """
-    axis = state.qubit_index(v)
-    t = state.tensor()
-    if kind == "Z":
-        t = _apply_z(t, axis)
-    elif kind == "X":
-        t = np.flip(t, axis=axis)
-    else:
-        raise ValidationError(f"unknown Pauli kind {kind!r}")
-    return QuantumState(t.reshape(-1), state.qubit_order)
-
-
-def stabilizer_expectation(state: QuantumState, g: InterQlanGraph, v: LabeledVertex) -> float:
-    """<psi| X_v prod_{u in N(v)} Z_u |psi>, real part.
-
-    Equals 1 for every vertex exactly when ``state`` is the graph state
-    of ``g``.
-    """
-    phi = apply_pauli(state, "X", v)
-    for u in neighbors(g, v):
-        phi = apply_pauli(phi, "Z", u)
-    return float(np.real(np.vdot(state.amplitudes, phi.amplitudes)))
-
-
-def project_x(
-    state: QuantumState,
-    v: LabeledVertex,
-    forced_outcome: int | None = None,
-    rng: np.random.Generator | None = None,
-) -> tuple[QuantumState, MeasurementOutcome]:
-    """Projective X measurement on ``v``; removes the measured qubit.
-
-    The outcome is sampled 50/50 from ``rng`` unless ``forced_outcome``
-    pins it. After projection the measured qubit sits in a product |+> or
-    |-> and is factored out.
-    """
+    if outcome not in (+1, -1):
+        raise ValidationError(f"forced outcome must be +1 or -1, got {outcome}")
     axis = state.qubit_index(v)
     t = state.tensor()
     flipped = np.flip(t, axis=axis)
-    branches = {+1: (t + flipped) / 2, -1: (t - flipped) / 2}
-    norms = {s: float(np.linalg.norm(b)) for s, b in branches.items()}
-    if forced_outcome is not None:
-        if forced_outcome not in (+1, -1):
-            raise ValidationError(f"forced outcome must be +1 or -1, got {forced_outcome}")
-        outcome = forced_outcome
-    else:
-        if rng is None:
-            rng = np.random.default_rng()
-        p_plus = norms[+1] ** 2 / (norms[+1] ** 2 + norms[-1] ** 2)
-        outcome = +1 if rng.random() < p_plus else -1
-    if norms[outcome] < NORM_TOL:
+    branch = (t + flipped if outcome == +1 else t - flipped) / 2
+    norm = float(np.linalg.norm(branch))
+    if norm < NORM_TOL:
         raise InternalAssertionError(
             f"X projection on {v.name} with outcome {outcome:+d} has zero norm; "
             "this cannot happen for a non-isolated vertex of a graph state"
         )
-    projected = branches[outcome] / norms[outcome]
-    idx: list = [slice(None)] * projected.ndim
+    idx: list = [slice(None)] * branch.ndim
     idx[axis] = 0
-    reduced = projected[tuple(idx)] * np.sqrt(2)
+    reduced = branch[tuple(idx)] / norm * np.sqrt(2)
     order = tuple(u for u in state.qubit_order if u != v)
-    return (
-        QuantumState(reduced.reshape(-1), order),
-        MeasurementOutcome(vertex=v, basis="X", result=outcome),
-    )
+    return QuantumState(reduced.reshape(-1), order)
 
 
 def x_correction_ops(
@@ -238,20 +188,17 @@ def describe_corrections(ops: Sequence[tuple[str, LabeledVertex]]) -> str:
 
 
 def apply_x_corrections(
-    state: QuantumState,
-    g_pre: InterQlanGraph,
-    v: LabeledVertex,
-    k0: LabeledVertex,
-    outcome: int,
+    state: QuantumState, ops: Sequence[tuple[str, LabeledVertex]]
 ) -> QuantumState:
-    """Undo the measurement byproducts so the state is a graph state again.
+    """Apply the byproduct operators ``ops`` so the state is a graph state again.
 
-    The corrected state equals the graph state of the X-measurement graph
-    rule applied to ``g_pre`` at ``v`` with special neighbor ``k0``, up to
-    global phase.
+    With ``ops = x_correction_ops(g_pre, v, k0, outcome)`` applied to what
+    ``project_x(state, v, outcome)`` left, the corrected state equals the
+    graph state of the X-measurement graph rule applied to ``g_pre`` at
+    ``v`` with special neighbor ``k0``, up to global phase.
     """
     t = state.tensor()
-    for kind, target in x_correction_ops(g_pre, v, k0, outcome):
+    for kind, target in ops:
         axis = state.qubit_index(target)
         if kind == "z":
             t = _apply_z(t, axis)
@@ -365,6 +312,12 @@ def verify_pipeline(
     t0 = time.perf_counter()
     target = prepare_graph_state(claimed)
     start = prepare_graph_state(g)
+    # the byproducts depend only on (measurement, outcome): evaluate each once
+    byproducts = {}
+    for k, r in enumerate(pipeline):
+        for s in (+1, -1):
+            ops = x_correction_ops(r.pre_graph, r.measured_vertex, r.special_neighbor, s)
+            byproducts[k, s] = ops, f"{r.measured_vertex.name}:{s:+d} -> {describe_corrections(ops)}"
     results = []
     for combo in branches:
         if len(combo) != len(pipeline):
@@ -373,15 +326,11 @@ def verify_pipeline(
             )
         state = start
         notes = []
-        for record, outcome in zip(pipeline, combo):
-            state, _ = project_x(state, record.measured_vertex, forced_outcome=outcome)
-            ops = x_correction_ops(
-                record.pre_graph, record.measured_vertex, record.special_neighbor, outcome
-            )
-            state = apply_x_corrections(
-                state, record.pre_graph, record.measured_vertex, record.special_neighbor, outcome
-            )
-            notes.append(f"{record.measured_vertex.name}:{outcome:+d} -> {describe_corrections(ops)}")
+        for k, (record, outcome) in enumerate(zip(pipeline, combo)):
+            state = project_x(state, record.measured_vertex, outcome)
+            ops, note = byproducts[k, outcome]
+            state = apply_x_corrections(state, ops)
+            notes.append(note)
         f = fidelity(state, target)
         results.append(
             BranchResult(

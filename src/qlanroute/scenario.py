@@ -33,8 +33,6 @@ from .graph import (
     InterQlanGraph,
     LabeledVertex,
     client_graph,
-    complement_graph,
-    edges_as_names,
     vertex_from_name,
 )
 from .routing import PhysicalTopology, RequestSet
@@ -285,11 +283,6 @@ def random_scenario(seed: int, n1: int = 3, n2: int = 4) -> Scenario:
         seed=seed,
         name=f"random-{seed}",
     )
-
-
-def complement_pairs_of(sc: Scenario) -> tuple[tuple[str, str], ...]:
-    """Name pairs that the switch will connect, in deterministic order."""
-    return tuple((a, b) for a, b in edges_as_names(complement_graph(scenario_graph(sc))))
 
 
 # -- bundled scenarios -----------------------------------------------------

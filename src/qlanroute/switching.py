@@ -35,13 +35,11 @@ from .graph import (
     InterQlanGraph,
     LabeledVertex,
     Qlan,
-    Role,
     bit_indices,
     delete_vertex,
     edges_as_names,
     first_intra_qlan_edge,
     local_complement,
-    make_edge,
     super_node,
     validate_client_graph,
     vertex_sort_key,
@@ -193,51 +191,6 @@ def augment_case1(g: InterQlanGraph, retain: Iterable[LabeledVertex] = ()) -> Au
 def augment_case2(g: InterQlanGraph, retain: Iterable[LabeledVertex] = ()) -> AugmentedGraph:
     """Add fresh super-nodes wired to their own QLAN's non-retained clients."""
     return _augment(g, AugmentationCase.CASE_II, retain)
-
-
-def promote_super(
-    g: InterQlanGraph,
-    v1: LabeledVertex,
-    v2: LabeledVertex,
-    retain: Iterable[LabeledVertex] = (),
-) -> AugmentedGraph:
-    """Mark two existing, fully connected clients as the Case I super-nodes.
-
-    When a client already has the Case I connectivity (adjacent to every
-    non-retained client of the opposite QLAN, and to its counterpart),
-    no fresh vertex is needed; the pair is relabeled in place. Full
-    connectivity is validated here rather than trusted.
-    """
-    retained = _check_augmentable(g, retain)
-    for v, q in ((v1, Qlan.Q1), (v2, Qlan.Q2)):
-        if v not in g or v.is_super or v.qlan is not q:
-            raise ValidationError(f"promotion target {v.name} must be a QLAN {q.value} client")
-        if v in retained:
-            raise ValidationError(f"promotion target {v.name} cannot also be retained")
-    if not g.has_edge(v1, v2):
-        raise ValidationError(f"promotion needs the inter-link ({v1.name}, {v2.name})")
-    for v, opposite in ((v1, Qlan.Q2), (v2, Qlan.Q1)):
-        partner = v2 if v is v1 else v1
-        for c in g.clients(opposite):
-            if c == partner:
-                continue
-            if c in retained:
-                if g.has_edge(v, c):
-                    raise ValidationError(
-                        f"{v.name} is adjacent to retained client {c.name}; retained clients "
-                        "must not touch a super-node"
-                    )
-            elif not g.has_edge(v, c):
-                raise ValidationError(
-                    f"{v.name} lacks full opposite-QLAN connectivity: no inter-link to {c.name}"
-                )
-    relabel = {
-        v1: LabeledVertex(v1.qlan, v1.index, Role.SUPER),
-        v2: LabeledVertex(v2.qlan, v2.index, Role.SUPER),
-    }
-    vertices = frozenset(relabel.get(v, v) for v in g.vertices)
-    edges = frozenset(make_edge(relabel.get(a, a), relabel.get(b, b)) for (a, b) in g.edges)
-    return AugmentedGraph(InterQlanGraph(vertices, edges), AugmentationCase.CASE_I, retained)
 
 
 # -- measurement -------------------------------------------------------

@@ -135,7 +135,7 @@ def test_criterion_3_oracle_certification_with_negative_control():
         final, records = run_pipeline(aug, k0)
         q1, q2 = final.clients(Qlan.Q1), final.clients(Qlan.Q2)
         toggled = make_edge(q1[0], q2[0])
-        corrupted = InterQlanGraph(final.vertices, frozenset(set(final.edges) ^ {toggled}))
+        corrupted = InterQlanGraph(frozenset(final.order), frozenset(set(final.edges) ^ {toggled}))
         report = verify_pipeline(aug.graph, records, corrupted)
         assert not report.passed
         assert report.min_fidelity <= 0.5 + FIDELITY_TOL
@@ -208,7 +208,7 @@ def test_criterion_5_involution_suite():
         rng = random.Random(500)
         for _ in range(500):
             g = random_plain_graph(rng, max_vertices=10)
-            vs = sorted(g.vertices, key=lambda u: u.name)
+            vs = sorted(frozenset(g.order), key=lambda u: u.name)
             v = vs[rng.randrange(len(vs))]
             assert local_complement(local_complement(g, v), v) == g
         for g in all_client_graphs(3, 3):

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import contextlib
+import gc
+import io
 import json
+import weakref
 
 import pytest
 from click.testing import CliRunner
@@ -259,6 +263,35 @@ def test_version_option_prints_the_package_version(runner):
     result = invoke(runner, "--version")
     assert result.exit_code == 0
     assert __version__ in result.output
+
+
+def _call_in_process(argv):
+    """One in-process CLI call with its output sent to a fresh stream; returns
+    the exit code and a weak reference to that stream."""
+    sink = io.StringIO()
+    with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+        try:
+            main(argv, prog_name="qlanroute")
+        except SystemExit as exc:
+            return exc.code, weakref.ref(sink)
+    return 0, weakref.ref(sink)
+
+
+def test_in_process_calls_do_not_keep_their_output_streams(tmp_path):
+    # a library caller that captures each call's output in a fresh stream
+    # must get every stream back once it drops it
+    calls = [
+        (["complement", "--scenario", "fig2", "--out", str(tmp_path / "a")], 0),
+        (["complement", "--scenario", "fig2", "--out", str(tmp_path / "b")], 0),
+        (["verify", "--scenario", "exhaustive_small", "--corrupt", "--out", str(tmp_path / "c")], 1),
+    ]
+    refs = []
+    for argv, expected in calls:
+        code, ref = _call_in_process(argv)
+        assert code == expected
+        refs.append(ref)
+    gc.collect()
+    assert [ref() is None for ref in refs] == [True, True, True]
 
 
 # -- bundled scenarios --------------------------------------------------------

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import pickle
 import random
 
 import pytest
@@ -86,7 +87,7 @@ def test_two_supers_per_qlan_rejected():
 def test_edge_needs_known_endpoints():
     g = client_graph(1, 1)
     with pytest.raises(UnknownVertexError):
-        InterQlanGraph(g.vertices, frozenset({make_edge(client(1, 1), client(2, 2))}))
+        InterQlanGraph(frozenset(g.order), frozenset({make_edge(client(1, 1), client(2, 2))}))
 
 
 def test_edges_are_canonical_regardless_of_order():
@@ -120,7 +121,7 @@ def test_neighbors_matches_independent_edge_scan():
     for _ in range(25):
         g = random_client_graph(rng, 3, 4)
         # oracle: adjacency rebuilt vertex by vertex from the raw edge list
-        for v in g.vertices:
+        for v in frozenset(g.order):
             scanned = set()
             for (x, y) in g.edges:
                 if x == v:
@@ -169,7 +170,7 @@ def test_complement_neighborhood_matches_set_difference():
 def test_complement_neighborhood_rejects_super():
     g = client_graph(1, 1, [(1, 1)])
     s = super_node(1)
-    aug = InterQlanGraph(g.vertices | {s}, g.edges)
+    aug = InterQlanGraph(frozenset(g.order) | {s}, g.edges)
     with pytest.raises(ValidationError):
         complement_neighborhood(aug, s)
 
@@ -201,22 +202,22 @@ def test_local_complement_involution_on_50_random_graphs():
     rng = random.Random(5)
     for _ in range(50):
         g = random_plain_graph(rng, max_vertices=10)
-        for v in sorted(g.vertices, key=lambda u: u.name)[:3]:
+        for v in sorted(frozenset(g.order), key=lambda u: u.name)[:3]:
             assert local_complement(local_complement(g, v), v) == g
 
 
 @given(plain_graphs(max_vertices=8), st.integers(min_value=0, max_value=10**6))
 def test_local_complement_involution_property(g, pick):
-    vs = sorted(g.vertices, key=lambda u: u.name)
+    vs = sorted(frozenset(g.order), key=lambda u: u.name)
     v = vs[pick % len(vs)]
     assert local_complement(local_complement(g, v), v) == g
 
 
 @given(plain_graphs(max_vertices=8), st.integers(min_value=0, max_value=10**6))
 def test_local_complement_preserves_vertices(g, pick):
-    vs = sorted(g.vertices, key=lambda u: u.name)
+    vs = sorted(frozenset(g.order), key=lambda u: u.name)
     v = vs[pick % len(vs)]
-    assert local_complement(g, v).vertices == g.vertices
+    assert frozenset(local_complement(g, v).order) == frozenset(g.order)
 
 
 def test_local_complement_unknown_vertex():
@@ -230,28 +231,28 @@ def test_local_complement_unknown_vertex():
 def test_delete_only_vertex_leaves_empty_graph():
     g = InterQlanGraph(frozenset({client(1, 1)}), frozenset())
     out = delete_vertex(g, client(1, 1))
-    assert out.vertices == frozenset() and out.edges == frozenset()
+    assert frozenset(out.order) == frozenset() and out.edges == frozenset()
 
 
 def test_delete_from_edgeless_graph():
     g = client_graph(2, 2)
     out = delete_vertex(g, client(2, 2))
-    assert out.vertices == g.vertices - {client(2, 2)}
+    assert frozenset(out.order) == frozenset(g.order) - {client(2, 2)}
     assert out.edges == frozenset()
 
 
 def test_delete_star_hub_isolates_leaves():
     g = client_graph(1, 4, [(1, 1), (1, 2), (1, 3), (1, 4)])
     out = delete_vertex(g, client(1, 1))
-    assert len(out.vertices) == 4
+    assert len(frozenset(out.order)) == 4
     assert out.edges == frozenset()
 
 
 @given(plain_graphs(max_vertices=8), st.integers(min_value=0, max_value=10**6))
 def test_delete_shrinks_vertex_set_by_one(g, pick):
-    vs = sorted(g.vertices, key=lambda u: u.name)
+    vs = sorted(frozenset(g.order), key=lambda u: u.name)
     v = vs[pick % len(vs)]
-    assert len(delete_vertex(g, v).vertices) == len(g.vertices) - 1
+    assert len(frozenset(delete_vertex(g, v).order)) == len(frozenset(g.order)) - 1
 
 
 # -- graph complement --------------------------------------------------------
@@ -269,7 +270,7 @@ def test_complement_of_edgeless_is_complete_bipartite():
 
 def test_complement_rejects_super_nodes():
     g = client_graph(1, 1, [(1, 1)])
-    aug = InterQlanGraph(g.vertices | {super_node(1)}, g.edges)
+    aug = InterQlanGraph(frozenset(g.order) | {super_node(1)}, g.edges)
     with pytest.raises(ValidationError):
         complement_graph(aug)
 
@@ -310,13 +311,21 @@ def test_json_round_trip_with_supers():
     base = client_graph(2, 2, [(1, 1)])
     s1, s2 = super_node(1), super_node(2)
     g = InterQlanGraph(
-        base.vertices | {s1, s2},
+        frozenset(base.order) | {s1, s2},
         base.edges | {make_edge(s1, s2), make_edge(client(1, 1), s2)},
     )
     data = graph_to_json(g)
     assert data["supers"] == {"s1": True, "s2": True}
     assert ["s1", "s2"] in data["super_edges"]
     assert graph_from_json(data) == g
+
+
+@given(plain_graphs())
+def test_pickle_round_trip_keeps_the_graph(g):
+    h = pickle.loads(pickle.dumps(g))
+    assert h.order == g.order and h.rows == g.rows
+    assert h == g and hash(h) == hash(g)
+    assert h.edges == g.edges
 
 
 def test_json_rejects_non_contiguous_clients():
@@ -332,7 +341,7 @@ def test_json_rejects_malformed_edge_entry():
 
 def test_dot_export_structure():
     base = client_graph(2, 2, [(1, 2)])
-    g = InterQlanGraph(base.vertices | {super_node(1)}, base.edges)
+    g = InterQlanGraph(frozenset(base.order) | {super_node(1)}, base.edges)
     dot = to_dot(g)
     lines = [ln.strip() for ln in dot.strip().splitlines()]
     assert lines[0].startswith("graph ") and lines[0].endswith("{")

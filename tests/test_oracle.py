@@ -23,14 +23,14 @@ from qlanroute.graph import (
     super_node,
     vertex_sort_key,
 )
+from qlanroute import oracle
 from qlanroute.oracle import (
-    MeasurementOutcome,
     QuantumState,
     apply_x_corrections,
+    describe_corrections,
     fidelity,
     prepare_graph_state,
     project_x,
-    stabilizer_expectation,
     verify_pipeline,
     x_correction_ops,
 )
@@ -41,7 +41,7 @@ from qlanroute.switching import (
     run_pipeline,
 )
 
-from helpers import plain_graphs, random_client_graph, random_plain_graph
+from helpers import plain_graphs, random_client_graph, random_plain_graph, stabilizer_expectation
 
 INV_SQRT2 = 1 / np.sqrt(2)
 
@@ -63,7 +63,7 @@ def test_prepare_two_vertex_edge_hand_amplitudes():
 
 def test_prepare_orders_clients_then_supers():
     base = client_graph(2, 1, [(1, 1)])
-    g = InterQlanGraph(base.vertices | {super_node(2)}, base.edges)
+    g = InterQlanGraph(frozenset(base.order) | {super_node(2)}, base.edges)
     state = prepare_graph_state(g)
     assert [v.name for v in state.qubit_order] == ["1.1", "1.2", "2.1", "s2"]
 
@@ -78,7 +78,7 @@ def test_prepare_satisfies_all_stabilizer_generators():
     for _ in range(10):
         g = random_plain_graph(rng, max_vertices=8)
         state = prepare_graph_state(g)
-        for v in g.vertices:
+        for v in frozenset(g.order):
             assert stabilizer_expectation(state, g, v) == pytest.approx(1.0, abs=1e-10)
 
 
@@ -98,9 +98,9 @@ def test_project_plus_on_edge_state_gives_plus_after_correction():
     # into |+>, the graph state of the single remaining vertex
     g = client_graph(1, 1, [(1, 1)])
     state = prepare_graph_state(g)
-    reduced, outcome = project_x(state, client(1, 1), forced_outcome=+1)
+    reduced = project_x(state, client(1, 1), +1)
     assert np.allclose(reduced.amplitudes, [1.0, 0.0])
-    corrected = apply_x_corrections(reduced, g, client(1, 1), client(2, 1), outcome.result)
+    corrected = apply_x_corrections(reduced, x_correction_ops(g, client(1, 1), client(2, 1), +1))
     assert np.allclose(corrected.amplitudes, [INV_SQRT2, INV_SQRT2])
 
 
@@ -117,7 +117,7 @@ def test_projection_branches_have_equal_weight():
 def test_project_removes_the_measured_qubit():
     g = client_graph(2, 2, [(1, 1), (2, 2)])
     state = prepare_graph_state(g)
-    reduced, _ = project_x(state, client(1, 2), forced_outcome=-1)
+    reduced = project_x(state, client(1, 2), -1)
     assert reduced.n == 3
     assert client(1, 2) not in reduced.qubit_order
 
@@ -126,21 +126,13 @@ def test_project_forced_minus_on_isolated_vertex_is_internal_error():
     g = client_graph(1, 1)
     state = prepare_graph_state(g)
     with pytest.raises(InternalAssertionError, match="zero norm"):
-        project_x(state, client(1, 1), forced_outcome=-1)
+        project_x(state, client(1, 1), -1)
 
 
-def test_project_sampling_is_seed_deterministic():
-    g = client_graph(2, 2, [(1, 1), (1, 2), (2, 1)])
-    outcomes_a = []
-    outcomes_b = []
-    for outcomes in (outcomes_a, outcomes_b):
-        rng = np.random.default_rng(1234)
-        for _ in range(12):
-            state = prepare_graph_state(g)
-            _, res = project_x(state, client(1, 1), rng=rng)
-            outcomes.append(res.result)
-    assert outcomes_a == outcomes_b
-    assert set(outcomes_a) == {+1, -1}
+def test_project_rejects_an_outcome_other_than_plus_or_minus_one():
+    state = prepare_graph_state(client_graph(1, 1, [(1, 1)]))
+    with pytest.raises(ValidationError, match="must be \\+1 or -1"):
+        project_x(state, client(1, 1), 0)
 
 
 def test_post_measurement_marginals_are_stabilizer_like():
@@ -149,11 +141,11 @@ def test_post_measurement_marginals_are_stabilizer_like():
     rng = random.Random(3)
     for _ in range(6):
         g = random_plain_graph(rng, max_vertices=8, p=0.5)
-        vs = [v for v in g.vertices if len([e for e in g.edges if v in e]) > 0]
+        vs = [v for v in frozenset(g.order) if len([e for e in g.edges if v in e]) > 0]
         if not vs:
             continue
         state = prepare_graph_state(g)
-        reduced, _ = project_x(state, vs[0], forced_outcome=+1)
+        reduced = project_x(state, vs[0], +1)
         t = reduced.tensor()
         for axis in range(reduced.n):
             mat = np.moveaxis(t, axis, 0).reshape(2, -1)
@@ -170,7 +162,7 @@ def test_corrected_state_matches_graph_rule_for_both_outcomes():
     checked = 0
     while checked < 200:
         g = random_plain_graph(rng, max_vertices=10, p=0.45)
-        candidates = [v for v in g.vertices if any(v in e for e in g.edges)]
+        candidates = [v for v in frozenset(g.order) if any(v in e for e in g.edges)]
         if not candidates:
             continue
         a = rng.choice(sorted(candidates, key=lambda v: v.name))
@@ -180,8 +172,8 @@ def test_corrected_state_matches_graph_rule_for_both_outcomes():
         target = prepare_graph_state(rule_graph)
         for outcome in (+1, -1):
             state = prepare_graph_state(g)
-            reduced, _ = project_x(state, a, forced_outcome=outcome)
-            corrected = apply_x_corrections(reduced, g, a, k0, outcome)
+            reduced = project_x(state, a, outcome)
+            corrected = apply_x_corrections(reduced, x_correction_ops(g, a, k0, outcome))
             assert fidelity(corrected, target) == pytest.approx(1.0, abs=1e-9)
             checked += 1
 
@@ -211,9 +203,9 @@ def test_correction_ops_match_the_set_reference(g):
 def test_correction_rejects_non_neighbor_k0():
     g = client_graph(2, 1, [(1, 1)])
     state = prepare_graph_state(g)
-    reduced, _ = project_x(state, client(1, 1), forced_outcome=+1)
+    reduced = project_x(state, client(1, 1), +1)
     with pytest.raises(ValidationError, match="adjacent"):
-        apply_x_corrections(reduced, g, client(1, 1), client(1, 2), +1)
+        apply_x_corrections(reduced, x_correction_ops(g, client(1, 1), client(1, 2), +1))
 
 
 # -- fidelity ------------------------------------------------------------------
@@ -295,7 +287,7 @@ def test_verify_flags_corrupted_claim():
     final, records = run_pipeline(aug)
     toggled = make_edge(client(1, 1), client(2, 1))
     edges = set(final.edges) ^ {toggled}
-    corrupted = InterQlanGraph(final.vertices, frozenset(edges))
+    corrupted = InterQlanGraph(frozenset(final.order), frozenset(edges))
     report = verify_pipeline(aug.graph, records, corrupted)
     assert not report.passed
     # graph states one edge apart overlap at exactly 1/2
@@ -325,6 +317,30 @@ def test_verify_branches_are_independent_of_each_other(augment):
         assert (alone.outcomes, alone.fidelity, alone.corrections) == (b.outcomes, b.fidelity, b.corrections)
     again = verify_pipeline(aug.graph, records, final)
     assert again.to_json(normalize=True) == full.to_json(normalize=True)
+
+
+def test_verify_evaluates_each_byproduct_once(monkeypatch):
+    # one evaluation per (measurement, outcome) feeds both the branch note
+    # and the corrections: 4 on a two-measurement verify, not one per use
+    g = random_client_graph(random.Random(5), 3, 3)
+    aug = augment_case1(g)
+    final, records = run_pipeline(aug)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return x_correction_ops(*args)
+
+    monkeypatch.setattr(oracle, "x_correction_ops", counted)
+    report = verify_pipeline(aug.graph, records, final)
+    assert len(calls) == 4
+    assert report.passed and len(report.branches) == 4
+    for b in report.branches:
+        assert b.corrections == tuple(
+            f"{r.measured_vertex.name}:{s:+d} -> " + describe_corrections(
+                x_correction_ops(r.pre_graph, r.measured_vertex, r.special_neighbor, s))
+            for r, s in zip(records, b.outcomes)
+        )
 
 
 def test_verify_rejects_inconsistent_records():
@@ -358,11 +374,6 @@ def test_verify_report_serialization_shape():
         assert all("Y) on 1.1" in note for note in b["corrections"])
     assert isinstance(data["wall_time_s"], float)
     assert report.to_json(normalize=True)["wall_time_s"] is None
-
-
-def test_measurement_outcome_validates_result():
-    with pytest.raises(ValidationError):
-        MeasurementOutcome(vertex=client(1, 1), basis="X", result=0)
 
 
 def test_canonical_order_is_stable():

@@ -11,7 +11,6 @@ from qlanroute.graph import client, complement_graph
 from qlanroute.scenario import (
     Scenario,
     bundled_scenario_names,
-    complement_pairs_of,
     load_bundled_scenario,
     load_scenario,
     parse_scenario,
@@ -21,6 +20,8 @@ from qlanroute.scenario import (
     scenario_requests,
     scenario_topology,
 )
+
+from helpers import complement_pairs_of
 
 GOOD = {
     "name": "demo",

@@ -28,7 +28,6 @@ from qlanroute.switching import (
     default_k0,
     eligible_k0,
     measure_x,
-    promote_super,
     records_to_json,
     run_pipeline,
 )
@@ -92,7 +91,7 @@ def test_augment_rejects_empty_qlan(build):
 
 def test_augment_rejects_graph_with_super():
     g = client_graph(1, 1, [(1, 1)])
-    with_super = InterQlanGraph(g.vertices | {S1}, g.edges)
+    with_super = InterQlanGraph(frozenset(g.order) | {S1}, g.edges)
     with pytest.raises(ValidationError):
         augment_case1(with_super)
 
@@ -114,7 +113,7 @@ def test_augmented_graph_validates_structure():
     g = client_graph(1, 1, [(1, 1)])
     # missing the (s1, s2) inter-link
     broken = InterQlanGraph(
-        g.vertices | {S1, S2},
+        frozenset(g.order) | {S1, S2},
         g.edges | {make_edge(client(1, 1), S2), make_edge(client(2, 1), S1)},
     )
     with pytest.raises(ValidationError, match="s1, s2"):
@@ -127,46 +126,13 @@ def test_augmented_graph_validates_case_wiring():
         AugmentedGraph(aug.graph, AugmentationCase.CASE_II)  # wrong case for this wiring
 
 
-# -- promotion (pre-existing hubs act as supers) --------------------------
-
-
-def _hub_graph():
-    # 1.3 adjacent to all of QLAN 2, 2.3 adjacent to all of QLAN 1,
-    # plus a plain link (1.1, 2.1) among the future clients
-    return client_graph(
-        3, 3,
-        [(3, 1), (3, 2), (3, 3), (1, 3), (2, 3), (1, 1)],
-    )
-
-
-def test_promote_super_relabels_and_switches():
-    g = _hub_graph()
-    aug = promote_super(g, client(1, 3), client(2, 3))
-    assert {s.name for s in aug.graph.supers()} == {"s1", "s2"}
-    final, records = run_pipeline(aug)
-    assert final == complement_graph(aug.client_base())
-    assert len(records) == 2
-
-
-def test_promote_super_requires_full_connectivity():
-    g = client_graph(2, 2, [(1, 1), (1, 2)])  # 2.2 is not adjacent to 1.2
-    with pytest.raises(ValidationError, match="connectivity"):
-        promote_super(g, client(1, 1), client(2, 2))
-
-
-def test_promote_super_requires_the_joining_link():
-    g = client_graph(2, 2, [(1, 1), (1, 2), (2, 1)])  # no (1.2, 2.2)... promote needs (v1, v2)
-    with pytest.raises(ValidationError):
-        promote_super(g, client(1, 2), client(2, 2))
-
-
 # -- single X measurement ---------------------------------------------------
 
 
 def test_measure_single_edge_leaves_isolated_partner():
     g = client_graph(1, 1, [(1, 1)])
     post, record = measure_x(g, client(1, 1), client(2, 1))
-    assert post.vertices == frozenset({client(2, 1)})
+    assert frozenset(post.order) == frozenset({client(2, 1)})
     assert post.edges == frozenset()
     assert record.measured_vertex == client(1, 1)
 
