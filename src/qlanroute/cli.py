@@ -4,7 +4,8 @@ strategy comparisons from scenario files and write machine-readable reports.
 Exit codes: 0 success, 1 validation failure, 2 oracle capacity exceeded,
 3 internal assertion (a bug, never bad input). Every nonzero exit prints a
 one-line JSON error object on stderr. Output files are written atomically
-(write-then-rename).
+(write-then-rename). Every JSON report goes through one stdlib writer,
+``_dumps``, whose bytes equal ``json.dumps(obj, indent=2, sort_keys=True)``.
 """
 
 from __future__ import annotations
@@ -18,6 +19,8 @@ import random
 import sys
 import time
 from dataclasses import replace
+from itertools import chain
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
 import click
@@ -74,8 +77,59 @@ def _write_text(path: Path, text: str) -> None:
     os.replace(tmp, path)
 
 
+_LITERALS = {True: "true", False: "false", None: "null"}
+
+
+def _dumps(obj, depth: int = 0) -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True)``, byte for byte.
+
+    With an indent, CPython before 3.13 encodes in pure Python. Here strings
+    are quoted by the C ``encode_basestring_ascii``, and the edge lists that
+    make up most of a trace (lists of two-string lists) are quoted in one
+    ``map`` and filled into one pair template. Floats and other scalars go
+    through ``json.dumps``, so their spelling is the encoder's own.
+    """
+    kind = type(obj)
+    if kind is str:
+        return _quote(obj)
+    if kind is int:
+        return int.__repr__(obj)
+    if kind is bool or obj is None:
+        return _LITERALS[obj]
+    is_list = isinstance(obj, (list, tuple))
+    if not (is_list or isinstance(obj, dict)):
+        return json.dumps(obj)
+    if not obj:
+        return "[]" if is_list else "{}"
+    inner = "\n" + "  " * (depth + 1)
+    sep = "," + inner
+    if not is_list:
+        body = sep.join([_quote(k if isinstance(k, str) else _key(k)) + ": " + _dumps(v, depth + 1)
+                         for k, v in sorted(obj.items())])
+        return "{" + inner + body + "\n" + "  " * depth + "}"
+    kinds = set(map(type, obj))
+    if kinds == {str}:
+        body = sep.join(map(_quote, obj))
+    elif kinds == {int}:
+        body = sep.join(map(int.__repr__, obj))
+    elif kinds <= {list, tuple} and set(map(len, obj)) == {2} and {
+            type(x) for x in chain.from_iterable(obj)} == {str}:
+        pair = "[" + inner + "  %s," + inner + "  %s" + inner + "]"
+        body = sep.join([pair] * len(obj)) % tuple(map(_quote, chain.from_iterable(obj)))
+    else:
+        body = sep.join([_dumps(x, depth + 1) for x in obj])
+    return "[" + inner + body + "\n" + "  " * depth + "]"
+
+
+def _key(key) -> str:
+    """A non-string dict key as the encoder spells it."""
+    if key is None or isinstance(key, (int, float)):
+        return json.dumps(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
 def _write_json(path: Path, obj) -> None:
-    _write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    _write_text(path, _dumps(obj) + "\n")
 
 
 def _resolve_scenario(ref: str) -> Scenario:
@@ -131,8 +185,17 @@ normalize_option = click.option("--normalize", is_flag=True,
                                 help="Blank wall-clock fields so reports are byte-reproducible.")
 
 
+def _print_version(ctx: click.Context, _param, value: bool) -> None:
+    # click.version_option echoes through click's per-stream cache, which keeps
+    # an in-process caller's output stream alive
+    if value and not ctx.resilient_parsing:
+        print(f"{ctx.find_root().info_name}, version {__version__}")
+        ctx.exit()
+
+
 @click.group()
-@click.version_option(version=__version__)
+@click.option("--version", is_flag=True, expose_value=False, is_eager=True,
+              callback=_print_version, help="Show the version and exit.")
 def main() -> None:
     """Graph-complement switching and routing comparison for two-QLAN networks."""
 

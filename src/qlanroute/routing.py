@@ -38,7 +38,7 @@ from collections import defaultdict, deque
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .errors import UnknownVertexError, ValidationError
+from .errors import InternalAssertionError, UnknownVertexError, ValidationError
 from .graph import InterQlanGraph, validate_client_graph
 from .switching import (
     AugmentationCase,
@@ -254,7 +254,7 @@ def execute_complement(
     switched graph, all within the single pipeline round.
     """
     validate_client_graph(g)
-    known = {v.name: v for v in g.clients()}
+    known = {v.name: i for i, v in enumerate(g.order)}  # a client graph: every vertex a client
     resolved = []
     for i, (s, d) in enumerate(reqs):
         for name in (s, d):
@@ -267,10 +267,12 @@ def execute_complement(
     retained = frozenset(retain)
     aug = (augment_case1 if case is AugmentationCase.CASE_I else augment_case2)(g, retained)
     final, records = run_pipeline(aug)
+    if final.order != g.order:
+        raise InternalAssertionError("the switched graph does not keep the client order")
     served: list[int] = []
     failed: list[tuple[int, str]] = []
     for (i, u, v) in resolved:
-        if g.has_edge(u, v) or final.has_edge(u, v):
+        if (g.rows[u] | final.rows[u]) >> v & 1:  # adjacent in g or in final
             served.append(i)
         else:
             failed.append((i, "not a complement pair"))

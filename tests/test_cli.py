@@ -284,6 +284,7 @@ def test_in_process_calls_do_not_keep_their_output_streams(tmp_path):
         (["complement", "--scenario", "fig2", "--out", str(tmp_path / "a")], 0),
         (["complement", "--scenario", "fig2", "--out", str(tmp_path / "b")], 0),
         (["verify", "--scenario", "exhaustive_small", "--corrupt", "--out", str(tmp_path / "c")], 1),
+        (["--version"], 0),
     ]
     refs = []
     for argv, expected in calls:
@@ -291,7 +292,7 @@ def test_in_process_calls_do_not_keep_their_output_streams(tmp_path):
         assert code == expected
         refs.append(ref)
     gc.collect()
-    assert [ref() is None for ref in refs] == [True, True, True]
+    assert [ref() is None for ref in refs] == [True] * len(calls)
 
 
 # -- bundled scenarios --------------------------------------------------------

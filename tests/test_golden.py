@@ -43,6 +43,8 @@ CASES = {
     "complement-fig2-dot": lambda work: ["complement", "--scenario", "fig2", "--format", "dot"],
     "verify-exhaustive_small": lambda work: ["verify", "--scenario", "exhaustive_small", "--normalize"],
     "compare-fig1": lambda work: ["compare", "--scenario", "fig1", "--normalize"],
+    "compare-fig1-csv": lambda work: ["compare", "--scenario", "fig1", "--format", "csv", "--normalize"],
+    "complement-fig2-csv": lambda work: ["complement", "--scenario", "fig2", "--format", "csv"],
     "complement-16-case-ii-retain": lambda work: [
         "complement", "--scenario", str(_write_case_ii_scenario(work)),
         "--case", "II", "--retain", "1.3,1.9,2.4",

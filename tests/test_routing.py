@@ -272,6 +272,25 @@ def test_complement_served_set_matches_complement_edges_exactly():
             assert (idx in report.served) == should_serve
 
 
+@pytest.mark.parametrize("case", [AugmentationCase.CASE_I, AugmentationCase.CASE_II])
+@pytest.mark.parametrize("retain_count", [0, 2])
+def test_served_rule_matches_name_level_adjacency(case, retain_count):
+    # every client pair is requested, the pairs already adjacent in g among them
+    rng = random.Random(47 + retain_count + 10 * (case is AugmentationCase.CASE_II))
+    for _ in range(10):
+        g = random_client_graph(rng, 4, 5)
+        names = {v.name: v for v in g.order}
+        reqs = RequestSet(tuple((a, b) for a in names for b in names if a < b))
+        retain = rng.sample(list(g.order), retain_count)
+        run = execute_complement(g, reqs, case=case, retain=retain)
+        rule = [g.has_edge(names[s], names[d]) or run.final_graph.has_edge(names[s], names[d])
+                for s, d in reqs]
+        assert any(g.has_edge(names[s], names[d]) for s, d in reqs)
+        assert run.report.served == tuple(i for i, ok in enumerate(rule) if ok)
+        assert run.report.failed == tuple((i, "not a complement pair")
+                                          for i, ok in enumerate(rule) if not ok)
+
+
 def test_execute_complement_exposes_pipeline_artifacts():
     g = client_graph(2, 2, [(1, 1)])
     run = execute_complement(g, RequestSet((("1.1", "2.2"),)), case=AugmentationCase.CASE_II)
