@@ -4,12 +4,15 @@ strategy comparisons from scenario files and write machine-readable reports.
 Exit codes: 0 success, 1 validation failure, 2 oracle capacity exceeded,
 3 internal assertion (a bug, never bad input). Every nonzero exit prints a
 one-line JSON error object on stderr. Output files are written atomically
-(write-then-rename). Every JSON report goes through one stdlib writer,
+(write-then-rename); a report that cannot be written, say under an
+``--out`` below a regular file, is a validation failure and leaves no
+temporary file. Every JSON report goes through one stdlib writer,
 ``_dumps``, whose bytes equal ``json.dumps(obj, indent=2, sort_keys=True)``.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import functools
 import io
@@ -71,10 +74,15 @@ def _fail(code: int, kind: str, exc: Exception) -> None:
 
 
 def _write_text(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    except OSError as exc:
+        with contextlib.suppress(OSError):
+            tmp.unlink()
+        raise ValidationError(f"cannot write report {path}: {exc.strerror or exc}") from None
 
 
 _LITERALS = {True: "true", False: "false", None: "null"}

@@ -488,9 +488,9 @@ _DOT_STYLE = {
 }
 
 
-def to_dot(g: InterQlanGraph, name: str = "interqlan") -> str:
+def to_dot(g: InterQlanGraph) -> str:
     """DOT export with one visual class per QLAN and a distinct super style."""
-    lines = [f"graph {name} {{"]
+    lines = ["graph interqlan {"]
     for v in g.order:
         if v.is_super:
             style = _DOT_STYLE["super"]

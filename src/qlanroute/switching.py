@@ -18,6 +18,10 @@ The cost is constant, two measurements, no matter how many clients or
 requests are involved. Clients listed as retained are left out of the
 switch simply by not wiring them to the super-nodes.
 
+:class:`AugmentedGraph` adds and wires the super-nodes itself, from one
+Case I/II rule, so an augmented graph is valid by construction: the
+pipeline checks the inputs, never the wiring.
+
 At graph level an X measurement on vertex ``a`` with special neighbor
 ``k0`` acts as ``tau_k0( tau_a( tau_k0(G) ) - a )``. The graph rule is
 outcome-independent; outcome-dependent local byproducts live at the state
@@ -28,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import ClassVar, Iterable, Sequence
 
 from .errors import InternalAssertionError, ValidationError
 from .graph import (
@@ -42,7 +46,6 @@ from .graph import (
     local_complement,
     super_node,
     validate_client_graph,
-    vertex_sort_key,
 )
 
 
@@ -55,83 +58,47 @@ class AugmentationCase(Enum):
 
 @dataclass(frozen=True)
 class AugmentedGraph:
-    """A client graph plus two wired super-nodes, ready for the pipeline.
+    """A client graph ``base`` plus two fresh super-nodes wired by ``case``.
 
     ``retained`` clients keep their original inter-links: they are
     adjacent to neither super-node and sit out the complement switch.
-    The constructor re-validates the full structural contract, so an
-    AugmentedGraph is valid however it was built.
+    The constructor checks its inputs and wires ``graph`` itself, so an
+    AugmentedGraph is valid by construction.
     """
 
-    graph: InterQlanGraph
+    base: InterQlanGraph
     case: AugmentationCase
     retained: frozenset[LabeledVertex] = field(default_factory=frozenset)
+    graph: InterQlanGraph = field(init=False, compare=False)
+
+    s1: ClassVar[LabeledVertex] = super_node(Qlan.Q1)
+    s2: ClassVar[LabeledVertex] = super_node(Qlan.Q2)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "retained", frozenset(self.retained))
-        _validate_augmented(self)
-
-    @property
-    def s1(self) -> LabeledVertex:
-        return _super_of(self.graph, Qlan.Q1)
-
-    @property
-    def s2(self) -> LabeledVertex:
-        return _super_of(self.graph, Qlan.Q2)
-
-    def client_base(self) -> InterQlanGraph:
-        """The client-induced subgraph: the network the pipeline output refers to."""
-        g = self.graph
-        clients, mask = g.clients(), g.client_mask()
-        return InterQlanGraph._from_rows(clients, [r & mask for r in g.rows[: len(clients)]])
-
-
-def _super_of(g: InterQlanGraph, qlan: Qlan) -> LabeledVertex:
-    for v in g.supers():
-        if v.qlan is qlan:
-            return v
-    raise ValidationError(f"QLAN {qlan.value} has no super-node")
-
-
-def _validate_augmented(aug: AugmentedGraph) -> None:
-    g = aug.graph
-    supers = g.supers()
-    if len(supers) != 2 or {s.qlan for s in supers} != {Qlan.Q1, Qlan.Q2}:
-        raise ValidationError("an augmented graph needs exactly one super-node per QLAN")
-    s1, s2 = _super_of(g, Qlan.Q1), _super_of(g, Qlan.Q2)
-    if not g.has_edge(s1, s2):
-        raise ValidationError("super-nodes must be joined by the (s1, s2) inter-link")
-    retained = 0
-    for r in sorted(aug.retained, key=vertex_sort_key):
-        if r not in g or r.is_super:
-            raise ValidationError(f"retained vertex {r.name} is not a client of the graph")
-        retained |= g.bit(r)
-    row1, row2 = g.row(s1), g.row(s2)
-    touching = (row1 | row2) & retained
-    if touching:
-        r = g.order[bit_indices(touching)[0]]
-        raise ValidationError(f"retained client {r.name} must not be adjacent to a super-node")
-    # Case I wires each switching client to the opposite QLAN's super-node
-    # only, Case II to its own QLAN's super-node only
-    q1, q2 = g.client_mask(Qlan.Q1) & ~retained, g.client_mask(Qlan.Q2) & ~retained
-    case_i = aug.case is AugmentationCase.CASE_I
-    to_opposite = (row2 & q1) | (row1 & q2)
-    to_own = (row1 & q1) | (row2 & q2)
-    wrong_opposite = (q1 | q2) & ~to_opposite if case_i else to_opposite
-    wrong_own = to_own if case_i else (q1 | q2) & ~to_own
-    wrong = wrong_opposite | wrong_own
-    if wrong:
-        c = g.order[bit_indices(wrong)[0]]
-        own, opposite = (s1, s2) if c.qlan is Qlan.Q1 else (s2, s1)
-        culprit = opposite if wrong_opposite & g.bit(c) else own
-        raise ValidationError(
-            f"client {c.name} breaks the Case {aug.case.value} wiring to {culprit.name}"
-        )
-    e = first_intra_qlan_edge(g)
-    if e is not None:
-        raise ValidationError(
-            f"client edge ({e[0].name}, {e[1].name}) stays inside one QLAN"
-        )
+        g = self.base
+        validate_client_graph(g)
+        if g.n1 == 0 or g.n2 == 0:
+            raise ValidationError("empty QLAN: augmentation needs at least one client per QLAN")
+        retained = frozenset(self.retained)
+        for r in retained:
+            if r not in g:
+                raise ValidationError(f"retained vertex {r.name} is not in the graph")
+        held = sum(g.bit(r) for r in retained)
+        q1, q2 = g.client_mask(Qlan.Q1) & ~held, g.client_mask(Qlan.Q2) & ~held
+        # Case I wires each switching client to the opposite QLAN's super-node,
+        # Case II to its own QLAN's super-node
+        to_s1, to_s2 = (q2, q1) if self.case is AugmentationCase.CASE_I else (q1, q2)
+        # the supers go last in canonical order: s1 at position n, s2 at n + 1
+        n = len(g.order)
+        b1, b2 = 1 << n, 1 << (n + 1)
+        rows = list(g.rows) + [to_s1 | b2, to_s2 | b1]
+        for i in bit_indices(to_s1):
+            rows[i] |= b1
+        for i in bit_indices(to_s2):
+            rows[i] |= b2
+        graph = InterQlanGraph._from_rows(g.order + (self.s1, self.s2), rows)
+        object.__setattr__(self, "retained", retained)
+        object.__setattr__(self, "graph", graph)
 
 
 @dataclass(frozen=True)
@@ -154,43 +121,14 @@ class MeasurementRecord:
             )
 
 
-def _check_augmentable(g: InterQlanGraph, retain: Iterable[LabeledVertex]) -> frozenset[LabeledVertex]:
-    validate_client_graph(g)
-    if g.n1 == 0 or g.n2 == 0:
-        raise ValidationError("empty QLAN: augmentation needs at least one client per QLAN")
-    retained = frozenset(retain)
-    for r in retained:
-        if r not in g:
-            raise ValidationError(f"retained vertex {r.name} is not in the graph")
-    return retained
-
-
-def _augment(g: InterQlanGraph, case: AugmentationCase, retain: Iterable[LabeledVertex]) -> AugmentedGraph:
-    retained = _check_augmentable(g, retain)
-    s1, s2 = super_node(Qlan.Q1), super_node(Qlan.Q2)
-    # the supers go last in canonical order: s1 at position n, s2 at n + 1
-    n = len(g.order)
-    b1, b2 = 1 << n, 1 << (n + 1)
-    held = sum(g.bit(r) for r in retained)
-    q1, q2 = g.client_mask(Qlan.Q1) & ~held, g.client_mask(Qlan.Q2) & ~held
-    to_s1, to_s2 = (q2, q1) if case is AugmentationCase.CASE_I else (q1, q2)
-    rows = list(g.rows) + [to_s1 | b2, to_s2 | b1]
-    for i in bit_indices(to_s1):
-        rows[i] |= b1
-    for i in bit_indices(to_s2):
-        rows[i] |= b2
-    graph = InterQlanGraph._from_rows(g.order + (s1, s2), rows)
-    return AugmentedGraph(graph, case, retained)
-
-
 def augment_case1(g: InterQlanGraph, retain: Iterable[LabeledVertex] = ()) -> AugmentedGraph:
     """Add fresh super-nodes wired to the opposite QLAN's non-retained clients."""
-    return _augment(g, AugmentationCase.CASE_I, retain)
+    return AugmentedGraph(g, AugmentationCase.CASE_I, retain)
 
 
 def augment_case2(g: InterQlanGraph, retain: Iterable[LabeledVertex] = ()) -> AugmentedGraph:
     """Add fresh super-nodes wired to their own QLAN's non-retained clients."""
-    return _augment(g, AugmentationCase.CASE_II, retain)
+    return AugmentedGraph(g, AugmentationCase.CASE_II, retain)
 
 
 # -- measurement -------------------------------------------------------
@@ -219,15 +157,13 @@ def measure_x(
 
 
 def eligible_k0(aug: AugmentedGraph) -> tuple[LabeledVertex, ...]:
-    """Clients usable as the special neighbor: non-retained, adjacent to s2.
+    """Clients usable as the special neighbor: the clients adjacent to s2.
 
-    Case I draws them from QLAN 1, Case II from QLAN 2.
+    The wiring puts only non-retained clients there, of QLAN 1 in Case I
+    and of QLAN 2 in Case II.
     """
     g = aug.graph
-    source = Qlan.Q1 if aug.case is AugmentationCase.CASE_I else Qlan.Q2
-    held = sum(g.bit(r) for r in aug.retained)
-    wired = g.row(aug.s2) & g.client_mask(source) & ~held
-    return tuple(g.order[i] for i in bit_indices(wired))
+    return tuple(g.order[i] for i in bit_indices(g.row(aug.s2) & g.client_mask()))
 
 
 def default_k0(aug: AugmentedGraph) -> LabeledVertex:
@@ -253,7 +189,7 @@ def run_pipeline(
     """
     if k0 is None:
         k0 = default_k0(aug)
-    if k0 not in eligible_k0(aug):
+    elif k0 not in eligible_k0(aug):
         raise ValidationError(
             f"k0 {k0.name} is not eligible: it must be a non-retained "
             f"{'QLAN 1' if aug.case is AugmentationCase.CASE_I else 'QLAN 2'} client adjacent to s2"

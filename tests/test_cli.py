@@ -295,6 +295,27 @@ def test_in_process_calls_do_not_keep_their_output_streams(tmp_path):
     assert [ref() is None for ref in refs] == [True] * len(calls)
 
 
+# -- report writing -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("args, first_report", [
+    (["complement", "--scenario", "fig2"], "result_graph.json"),
+    (["verify", "--scenario", "exhaustive_small"], "verification.json"),
+    (["compare", "--scenario", "fig1"], "comparison.json"),
+    (["sweep", "--count", 1], "sweep.csv"),
+], ids=["complement", "verify", "compare", "sweep"])
+def test_an_unwritable_report_is_a_validation_error(runner, tmp_path, args, first_report):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    result = invoke(runner, *args, "--out", blocker / "sub")
+    assert "cannot write report" in assert_one_json_error(result, 1)["message"]
+    out = tmp_path / "out"
+    (out / first_report).mkdir(parents=True)  # a directory sitting at the report path
+    result = invoke(runner, *args, "--out", out)
+    assert "cannot write report" in assert_one_json_error(result, 1)["message"]
+    assert [p.name for p in out.iterdir()] == [first_report]  # no .tmp file left behind
+
+
 # -- bundled scenarios --------------------------------------------------------
 
 

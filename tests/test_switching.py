@@ -22,7 +22,6 @@ from qlanroute.graph import (
 from qlanroute.oracle import replay_records
 from qlanroute.switching import (
     AugmentationCase,
-    AugmentedGraph,
     augment_case1,
     augment_case2,
     default_k0,
@@ -92,8 +91,12 @@ def test_augment_rejects_empty_qlan(build):
 def test_augment_rejects_graph_with_super():
     g = client_graph(1, 1, [(1, 1)])
     with_super = InterQlanGraph(frozenset(g.order) | {S1}, g.edges)
-    with pytest.raises(ValidationError):
-        augment_case1(with_super)
+    # an intra-QLAN edge makes a graph just as much not a client graph
+    intra = InterQlanGraph(client_graph(2, 1).order, [make_edge(client(1, 1), client(1, 2))])
+    for bad in (with_super, intra):
+        for build in (augment_case1, augment_case2):
+            with pytest.raises(ValidationError):
+                build(bad)
 
 
 def test_augment_rejects_unknown_retained_vertex():
@@ -109,21 +112,21 @@ def test_retained_clients_touch_no_super():
         assert not aug.graph.has_edge(r, S2)
 
 
-def test_augmented_graph_validates_structure():
-    g = client_graph(1, 1, [(1, 1)])
-    # missing the (s1, s2) inter-link
-    broken = InterQlanGraph(
-        frozenset(g.order) | {S1, S2},
-        g.edges | {make_edge(client(1, 1), S2), make_edge(client(2, 1), S1)},
-    )
-    with pytest.raises(ValidationError, match="s1, s2"):
-        AugmentedGraph(broken, AugmentationCase.CASE_I)
-
-
-def test_augmented_graph_validates_case_wiring():
-    aug = augment_case1(client_graph(2, 2, [(1, 1)]))
-    with pytest.raises(ValidationError):
-        AugmentedGraph(aug.graph, AugmentationCase.CASE_II)  # wrong case for this wiring
+@pytest.mark.parametrize("build, to_opposite", [(augment_case1, True), (augment_case2, False)])
+@settings(max_examples=100, deadline=None)
+@given(g=client_graphs(), data=st.data())
+def test_augment_matches_the_name_level_rule(build, to_opposite, g, data):
+    """The README rule, spelled with names: s1 -- s2, and each non-retained
+    client wired to the opposite QLAN's super-node (Case I) or its own (Case II).
+    k0 candidates are the non-retained clients of QLAN 1 (Case I) or QLAN 2 (Case II)."""
+    retained = data.draw(st.sets(st.sampled_from(g.clients())))
+    aug = build(g, retained)
+    supers = {Qlan.Q1: S1, Qlan.Q2: S2}
+    switching = [c for c in g.clients() if c not in retained]
+    wired = {make_edge(c, supers[c.qlan.other if to_opposite else c.qlan]) for c in switching}
+    assert aug.graph.edges == g.edges | {make_edge(S1, S2)} | wired
+    k0_qlan = Qlan.Q1 if to_opposite else Qlan.Q2
+    assert eligible_k0(aug) == tuple(c for c in switching if c.qlan is k0_qlan)
 
 
 # -- single X measurement ---------------------------------------------------
