@@ -18,6 +18,9 @@ model (documented here as the repository's model and driven by the
 scenario file):
 
 * requests are admitted greedily in input order, one batch per round;
+  :func:`run_tqr` computes this as one first-fit pass, each request
+  placed in the lowest round whose earlier members leave it room, which
+  admits exactly the per-round batches;
 * an admitted path claims 1 communication qubit at each endpoint and 2
   at each transit repeater (one per adjacent link) for that round;
 * a repeater owning a single communication qubit can still carry one
@@ -34,12 +37,11 @@ kicked in.
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from .errors import InternalAssertionError, UnknownVertexError, ValidationError
-from .graph import InterQlanGraph, validate_client_graph
+from .graph import InterQlanGraph, bit_indices, validate_client_graph
 from .switching import (
     AugmentationCase,
     AugmentedGraph,
@@ -57,8 +59,11 @@ COMPLEMENT = "Complement"
 class PhysicalTopology:
     """The physical network: node ids, undirected links, qubit budgets.
 
-    The sorted adjacency lists are built once, at construction, and the
-    hop distances to each destination once, on the first request for it.
+    Node ``i`` is ``sorted(nodes)[i]``, and ``_rows[i]`` is its adjacency
+    as an int mask, built once at construction. The BFS layers around a
+    destination are cached on the first request for it, as one mask per
+    hop distance. Bit order is name order, so the lowest set bit of a mask
+    is its smallest name.
     """
 
     nodes: frozenset[str]
@@ -81,27 +86,34 @@ class PhysicalTopology:
             if q < 1:
                 raise ValidationError(f"node {n} needs at least one communication qubit, got {q}")
         object.__setattr__(self, "comm_qubits", budgets)
-        adj: dict[str, list[str]] = {n: [] for n in self.nodes}
-        for (a, b) in self.links:
-            adj[a].append(b)
-            adj[b].append(a)
-        object.__setattr__(self, "_adj", {n: sorted(vs) for n, vs in adj.items()})
-        object.__setattr__(self, "_dist", {})
+        names = tuple(sorted(self.nodes))
+        index = {n: i for i, n in enumerate(names)}
+        rows = [0] * len(names)
+        for (a, b) in canon:
+            i, j = index[a], index[b]
+            rows[i] |= 1 << j
+            rows[j] |= 1 << i
+        object.__setattr__(self, "_names", names)
+        object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "_rows", tuple(rows))
+        object.__setattr__(self, "_layers", {})
 
-    def _hops_to(self, dst: str) -> dict[str, int]:
-        """Hop distance to ``dst`` from every node that can reach it (BFS, cached)."""
-        dist = self._dist.get(dst)
-        if dist is None:
-            dist = {dst: 0}
-            queue = deque([dst])
-            while queue:
-                cur = queue.popleft()
-                for nxt in self._adj[cur]:
-                    if nxt not in dist:
-                        dist[nxt] = dist[cur] + 1
-                        queue.append(nxt)
-            self._dist[dst] = dist
-        return dist
+    def _layers_to(self, dst: int) -> list[int]:
+        """BFS frontier masks around node ``dst``, nearest first (cached)."""
+        layers = self._layers.get(dst)
+        if layers is None:
+            rows = self._rows
+            frontier = seen = 1 << dst
+            layers = []
+            while frontier:
+                layers.append(frontier)
+                reach = 0
+                for i in bit_indices(frontier):
+                    reach |= rows[i]
+                frontier = reach & ~seen
+                seen |= frontier
+            self._layers[dst] = layers
+        return layers
 
 
 @dataclass(frozen=True)
@@ -156,75 +168,83 @@ def find_path(topo: PhysicalTopology, src: str, dst: str) -> list[str]:
             raise UnknownVertexError(f"node {end!r} is not in the topology")
     if src == dst:
         return [src]
-    dist = topo._hops_to(dst)
-    if src not in dist:
+    cur = topo._index[src]
+    layers = topo._layers_to(topo._index[dst])
+    at = 1 << cur
+    for hops, layer in enumerate(layers):
+        if layer & at:
+            break
+    else:
         return []
-    # walking from src toward dst, always taking the smallest eligible
-    # neighbor (adjacency lists are sorted), yields the lexicographically
+    # walking from src toward dst, always taking the smallest neighbor one
+    # layer closer (the lowest set bit), yields the lexicographically
     # smallest shortest path
+    rows, names = topo._rows, topo._names
     path = [src]
-    cur = src
-    while cur != dst:
-        step = dist[cur] - 1
-        cur = next(n for n in topo._adj[cur] if dist.get(n) == step)
-        path.append(cur)
+    for k in range(hops - 1, -1, -1):
+        step = rows[cur] & layers[k]
+        cur = (step & -step).bit_length() - 1
+        path.append(names[cur])
     return path
 
 
-def _path_demands(path: Sequence[str]) -> dict[str, int]:
-    demands = {path[0]: 1, path[-1]: 1}
-    for node in path[1:-1]:
-        demands[node] = 2
-    return demands
-
-
 def run_tqr(topo: PhysicalTopology, reqs: RequestSet) -> RoutingReport:
-    """Reactive baseline: per-round greedy admission under qubit budgets."""
+    """Reactive baseline: per-round greedy admission under qubit budgets.
+
+    One first-fit pass in input order puts each request in the lowest
+    round whose earlier members leave it room. That is exactly the batch
+    the round-by-round greedy scan would admit it to: when that scan
+    reaches request i in round r, the round holds only earlier requests.
+    """
     cap = topo.comm_qubits
-    needs: dict[int, list[tuple[str, int, int]]] = {}  # (node, demand, limit) along each path
     failed: list[tuple[int, str]] = []
-    pending: list[int] = []
+    placed: list[tuple[int, int]] = []  # (round, request index)
+    loads: list[dict[str, int]] = []  # per round: node -> demand units claimed
+    # per node, a mask of the rounds where its usage is at least its budget;
+    # such a node has no room for any demand d, since usage + d > max(cap, d)
+    full = dict.fromkeys(topo.nodes, 0)
+    peak = dict.fromkeys(topo.nodes, 0)
+    swaps = 0
     for i, (src, dst) in enumerate(reqs):
         path = find_path(topo, src, dst)
         if not path:
             failed.append((i, "disconnected"))
+            continue
+        # (node, demand, limit): 1 qubit at each endpoint, 2 at each transit;
+        # max(cap, 2): a 1-qubit repeater still carries one lone transit, time-shared
+        need = [(n, 2, max(cap[n], 2)) for n in path[1:-1]]
+        need += ((src, 1, cap[src]), (dst, 1, cap[dst]))
+        ruled_out = 0
+        for n, _, _ in need:
+            ruled_out |= full[n]
+        r = -1
+        while r < len(loads):
+            r = ((ruled_out + 1) & ~ruled_out).bit_length() - 1  # lowest round not ruled out
+            load = loads[r] if r < len(loads) else {}
+            if all(load.get(n, 0) + d <= limit for n, d, limit in need):
+                break
+            ruled_out |= 1 << r  # a node with a budget of 2 or more is short
         else:
-            # max(cap, d): a 1-qubit repeater still carries one lone transit, time-shared
-            needs[i] = [(n, d, max(cap[n], d)) for n, d in _path_demands(path).items()]
-            pending.append(i)
-    rounds = 0
-    swaps = 0
-    served: list[int] = []
-    peak: dict[str, int] = {n: 0 for n in topo.nodes}
-    while pending:
-        rounds += 1
-        usage: dict[str, int] = defaultdict(int)
-        admitted: list[int] = []
-        for i in pending:
-            need = needs[i]
-            for n, d, limit in need:
-                if usage[n] + d > limit:
-                    break
-            else:
-                for n, d, _ in need:
-                    usage[n] += d
-                admitted.append(i)
-                swaps += len(need) - 2  # one swap per transit node
-        if not admitted:
-            # unreachable under the minimum-hardware guarantee; guard anyway
-            failed.extend((i, "insufficient communication qubits") for i in pending)
-            break
-        for node, used in usage.items():
-            peak[node] = max(peak[node], used)
-        served.extend(admitted)
-        done = set(admitted)
-        pending = [i for i in pending if i not in done]
+            # not even a fresh round has room: unreachable under the
+            # time-sharing rule, but without this guard the scan would not end
+            failed.append((i, "insufficient communication qubits"))
+            continue
+        if r == len(loads):
+            loads.append(load)
+        for n, d, _ in need:
+            used = load[n] = load.get(n, 0) + d
+            if used >= cap[n]:
+                full[n] |= 1 << r
+            if used > peak[n]:
+                peak[n] = used
+        placed.append((r, i))
+        swaps += len(need) - 2  # one swap per transit node
     return RoutingReport(
         strategy=TQR,
-        rounds=rounds,
+        rounds=len(loads),
         swap_count=swaps,
         measurement_count=0,
-        served=tuple(served),
+        served=tuple(i for _, i in sorted(placed)),
         failed=tuple(failed),
         comm_qubit_peak=peak,
     )

@@ -62,8 +62,9 @@ class AugmentedGraph:
 
     ``retained`` clients keep their original inter-links: they are
     adjacent to neither super-node and sit out the complement switch.
-    The constructor checks its inputs and wires ``graph`` itself, so an
-    AugmentedGraph is valid by construction.
+    The constructor checks its inputs, ``case`` an :class:`AugmentationCase`
+    member among them, and wires ``graph`` itself, so an AugmentedGraph is
+    valid by construction.
     """
 
     base: InterQlanGraph
@@ -77,6 +78,8 @@ class AugmentedGraph:
     def __post_init__(self) -> None:
         g = self.base
         validate_client_graph(g)
+        if not isinstance(self.case, AugmentationCase):
+            raise ValidationError(f"augmentation case must be an AugmentationCase, got {self.case!r}")
         if g.n1 == 0 or g.n2 == 0:
             raise ValidationError("empty QLAN: augmentation needs at least one client per QLAN")
         retained = frozenset(self.retained)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import deque
 
 import numpy as np
 from hypothesis import strategies as st
@@ -21,6 +22,7 @@ from qlanroute.graph import (
     super_node,
 )
 from qlanroute.oracle import QuantumState
+from qlanroute.routing import PhysicalTopology
 from qlanroute.scenario import Scenario, scenario_graph
 
 
@@ -70,6 +72,26 @@ def client_graphs(draw, max_n1: int = 4, max_n2: int = 4) -> InterQlanGraph:
 
 
 @st.composite
+def physical_topologies(draw, max_nodes: int = 14) -> PhysicalTopology:
+    """Nodes "n0", "n1", ...: from eleven on, name order is not index order
+    ("n10" < "n9"). Each node falls in one of up to three parts with no
+    links between them, so many topologies are disconnected. Budgets 1-3.
+    """
+    n = draw(st.integers(min_value=1, max_value=max_nodes))
+    names = [f"n{i}" for i in range(n)]
+    part = draw(st.lists(st.integers(min_value=0, max_value=2), min_size=n, max_size=n))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    p = draw(st.sampled_from([0.15, 0.3, 0.5]))
+    links = {
+        (a, b) if rng.random() < 0.5 else (b, a)
+        for (i, a), (j, b) in itertools.combinations(enumerate(names), 2)
+        if part[i] == part[j] and rng.random() < p
+    }
+    budgets = draw(st.lists(st.integers(min_value=1, max_value=3), min_size=n, max_size=n))
+    return PhysicalTopology(frozenset(names), frozenset(links), dict(zip(names, budgets)))
+
+
+@st.composite
 def plain_graphs(draw, max_vertices: int = 10) -> InterQlanGraph:
     seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
     return random_plain_graph(random.Random(seed), max_vertices=max_vertices)
@@ -109,3 +131,34 @@ def stabilizer_expectation(state: QuantumState, g: InterQlanGraph, v: LabeledVer
 def complement_pairs_of(sc: Scenario) -> tuple[tuple[str, str], ...]:
     """Name pairs that the switch will connect, in deterministic order."""
     return tuple((a, b) for a, b in edges_as_names(complement_graph(scenario_graph(sc))))
+
+
+def reference_path(topo: PhysicalTopology, src: str, dst: str) -> list[str]:
+    """Shortest path by hop count, lexicographically smallest on ties; []
+    when disconnected.
+
+    A BFS from ``dst`` over sorted name-level adjacency lists, read from
+    ``topo.nodes`` and ``topo.links`` only; the walk from ``src`` takes
+    the smallest neighbor one hop closer at every step.
+    """
+    adj: dict[str, list[str]] = {n: [] for n in topo.nodes}
+    for (a, b) in topo.links:
+        adj[a].append(b)
+        adj[b].append(a)
+    for vs in adj.values():
+        vs.sort()
+    dist = {dst: 0}
+    queue = deque([dst])
+    while queue:
+        cur = queue.popleft()
+        for nxt in adj[cur]:
+            if nxt not in dist:
+                dist[nxt] = dist[cur] + 1
+                queue.append(nxt)
+    if src not in dist:
+        return []
+    path = [src]
+    while path[-1] != dst:
+        step = dist[path[-1]] - 1
+        path.append(next(n for n in adj[path[-1]] if dist.get(n) == step))
+    return path

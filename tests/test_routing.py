@@ -22,7 +22,7 @@ from qlanroute.routing import (
 )
 from qlanroute.switching import AugmentationCase
 
-from helpers import all_client_graphs, random_client_graph
+from helpers import all_client_graphs, physical_topologies, random_client_graph, reference_path
 
 
 def topo(nodes, links, qubits=None):
@@ -55,6 +55,21 @@ def test_find_path_prefers_lexicographically_smallest():
     # two shortest routes a-b-d and a-c-d: the b route wins
     t = topo(["a", "b", "c", "d"], [("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")])
     assert find_path(t, "a", "d") == ["a", "b", "d"]
+
+
+@settings(max_examples=150)
+@given(physical_topologies())
+def test_find_path_matches_the_reference_bfs_on_every_pair(t):
+    for src in t.nodes:
+        for dst in t.nodes:
+            assert find_path(t, src, dst) == reference_path(t, src, dst)
+
+
+def test_find_path_breaks_ties_by_name_not_by_number():
+    # n10 sorts before n9 as a string: the tie between a-n9-z and a-n10-z
+    # goes to n10
+    t = topo(["a", "n9", "n10", "z"], [("a", "n9"), ("a", "n10"), ("n9", "z"), ("n10", "z")])
+    assert find_path(t, "a", "z") == ["a", "n10", "z"]
 
 
 def test_find_path_unknown_node():
@@ -143,8 +158,10 @@ def ref_tqr(t: PhysicalTopology, reqs: RequestSet):
     Greedy in input order, one batch per round; a path claims 1 qubit at
     each endpoint and 2 at each transit; a 1-qubit repeater still carries
     one transit alone (time-sharing); each served path costs length - 2 swaps.
+    Paths come from the reference BFS, not from the package.
     """
-    paths = [find_path(t, s, d) for (s, d) in reqs]
+    paths = [reference_path(t, s, d) for (s, d) in reqs]
+    failed = tuple((i, "disconnected") for i, p in enumerate(paths) if not p)
     waiting = [i for i, p in enumerate(paths) if p]
     rounds, swaps, served = 0, 0, []
     peak = {n: 0 for n in t.nodes}
@@ -172,22 +189,26 @@ def ref_tqr(t: PhysicalTopology, reqs: RequestSet):
             peak[n] = max(peak[n], load[n])
         served += batch
         waiting = [i for i in waiting if i not in batch]
-    return rounds, tuple(served), swaps, peak
+    return rounds, tuple(served), failed, swaps, peak
 
 
 @settings(max_examples=150)
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 def test_tqr_admission_matches_the_readme_rules_on_mixed_budgets(seed):
+    # up to 40 requests on up to 14 nodes: first-fit spans many rounds, and
+    # 2- and 3-qubit nodes take the exact rule past the full-round masks
     rng = random.Random(seed)
-    nodes = [f"n{i}" for i in range(rng.randint(3, 9))]
-    links = {(a, b) for a in nodes for b in nodes if a < b and rng.random() < 0.35}
+    nodes = [f"n{i}" for i in range(rng.randint(3, 14))]
+    p = rng.choice([0.2, 0.35, 0.5])
+    links = {(a, b) for a in nodes for b in nodes if a < b and rng.random() < p}
     t = topo(nodes, links, {n: rng.choice([1, 2, 3]) for n in nodes})
     pairs = [(a, b) for a in nodes for b in nodes if a != b]
-    reqs = RequestSet(tuple(rng.choice(pairs) for _ in range(rng.randint(1, 10))))
+    reqs = RequestSet(tuple(rng.choice(pairs) for _ in range(rng.randint(1, 40))))
     report = run_tqr(t, reqs)
-    rounds, served, swaps, peak = ref_tqr(t, reqs)
+    rounds, served, failed, swaps, peak = ref_tqr(t, reqs)
     assert report.rounds == rounds
     assert report.served == served
+    assert report.failed == failed
     assert report.swap_count == swaps
     assert dict(report.comm_qubit_peak) == peak
 

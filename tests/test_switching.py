@@ -22,6 +22,7 @@ from qlanroute.graph import (
 from qlanroute.oracle import replay_records
 from qlanroute.switching import (
     AugmentationCase,
+    AugmentedGraph,
     augment_case1,
     augment_case2,
     default_k0,
@@ -102,6 +103,13 @@ def test_augment_rejects_graph_with_super():
 def test_augment_rejects_unknown_retained_vertex():
     with pytest.raises(ValidationError):
         augment_case1(client_graph(2, 2), retain=[client(1, 7)])
+
+
+@pytest.mark.parametrize("case", ["I", "II", None, 1])
+def test_augment_rejects_a_case_that_is_not_an_augmentation_case(case):
+    # the wiring tests `case is CASE_I`, so an unchecked "I" would wire Case II
+    with pytest.raises(ValidationError, match="AugmentationCase"):
+        AugmentedGraph(client_graph(1, 1), case)
 
 
 def test_retained_clients_touch_no_super():
