@@ -3,11 +3,13 @@ strategy comparisons from scenario files and write machine-readable reports.
 
 Exit codes: 0 success, 1 validation failure, 2 oracle capacity exceeded,
 3 internal assertion (a bug, never bad input). Every nonzero exit prints a
-one-line JSON error object on stderr. Output files are written atomically
-(write-then-rename); a report that cannot be written, say under an
-``--out`` below a regular file, is a validation failure and leaves no
-temporary file. Every JSON report goes through one stdlib writer,
-``_dumps``, whose bytes equal ``json.dumps(obj, indent=2, sort_keys=True)``.
+one-line JSON error object on stderr. A command writes its reports all
+or none: each is staged as a temporary file, then renamed over its target.
+A report that cannot be written, say under an ``--out`` below a regular
+file or over a directory, is a validation failure and leaves none of the
+run's reports and no temporary file. Every JSON report goes through one
+stdlib writer, ``_dumps``, whose bytes equal
+``json.dumps(obj, indent=2, sort_keys=True)``.
 """
 
 from __future__ import annotations
@@ -73,15 +75,31 @@ def _fail(code: int, kind: str, exc: Exception) -> None:
     sys.exit(code)
 
 
-def _write_text(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
+def _write_reports(out: Path, reports: dict[str, str]) -> None:
+    """Write one run's reports into ``out``: all of them or none.
+
+    Every target is checked and every report staged as ``<name>.tmp``
+    before any report is replaced, so a report that cannot be written
+    leaves the run's other reports unwritten and no temporary file behind.
+    """
+    for name in reports:
+        if (out / name).is_dir():
+            raise ValidationError(f"cannot write report {out / name}: Is a directory")
+    staged = []
+    path = out
     try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp.write_text(text)
-        os.replace(tmp, path)
+        out.mkdir(parents=True, exist_ok=True)
+        for name, text in reports.items():
+            path = out / name
+            tmp = path.with_name(name + ".tmp")
+            staged.append((tmp, path))
+            tmp.write_text(text)
+        for tmp, path in staged:
+            os.replace(tmp, path)
     except OSError as exc:
-        with contextlib.suppress(OSError):
-            tmp.unlink()
+        for tmp, _ in staged:
+            with contextlib.suppress(OSError):
+                tmp.unlink()
         raise ValidationError(f"cannot write report {path}: {exc.strerror or exc}") from None
 
 
@@ -136,8 +154,8 @@ def _key(key) -> str:
     raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
 
 
-def _write_json(path: Path, obj) -> None:
-    _write_text(path, _dumps(obj) + "\n")
+def _json_report(obj) -> str:
+    return _dumps(obj) + "\n"
 
 
 def _resolve_scenario(ref: str) -> Scenario:
@@ -221,23 +239,24 @@ def main() -> None:
 def cmd_complement(scenario_ref, out_dir, seed, case, retain, k0_name, fmt, oracle):
     """Run the super-node measurement pipeline and write the switched graph."""
     sc, g, aug, final, records = _switch(scenario_ref, seed, case, retain, k0_name)
-    out = Path(out_dir)
-    _write_json(out / "result_graph.json", graph_to_json(final))
-    _write_json(out / "trace.json", records_to_json(records))
-    if fmt == "dot":
-        _write_text(out / "result_graph.dot", to_dot(final))
-        _write_text(out / "input_graph.dot", to_dot(g))
-    if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["endpoint_a", "endpoint_b"])
-        writer.writerows(sorted(edges_as_names(final)))
-        _write_text(out / "result_edges.csv", buf.getvalue())
     matches = None
     if not sc.retain:
         matches = final == complement_graph(g)
         if not matches:
             raise InternalAssertionError("full switch output differs from the declarative complement")
+    reports = {
+        "result_graph.json": _json_report(graph_to_json(final)),
+        "trace.json": _json_report(records_to_json(records)),
+    }
+    if fmt == "dot":
+        reports["result_graph.dot"] = to_dot(final)
+        reports["input_graph.dot"] = to_dot(g)
+    if fmt == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(["endpoint_a", "endpoint_b"])
+        writer.writerows(sorted(edges_as_names(final)))
+        reports["result_edges.csv"] = buf.getvalue()
     summary = {
         "scenario": sc.name or scenario_ref,
         "case": sc.case,
@@ -249,14 +268,16 @@ def cmd_complement(scenario_ref, out_dir, seed, case, retain, k0_name, fmt, orac
         "result_edges": final.edge_count,
         "matches_declarative_complement": matches,
     }
-    _write_json(out / "summary.json", summary)
+    reports["summary.json"] = _json_report(summary)
     if oracle:
         report = verify_pipeline(aug.graph, records, final)
-        _write_json(out / "verification.json", report.to_json())
-        if not report.passed:
-            raise InternalAssertionError(
-                f"oracle rejected the pipeline output (min fidelity {report.min_fidelity})"
-            )
+        reports["verification.json"] = _json_report(report.to_json())
+    out = Path(out_dir)
+    _write_reports(out, reports)
+    if oracle and not report.passed:
+        raise InternalAssertionError(
+            f"oracle rejected the pipeline output (min fidelity {report.min_fidelity})"
+        )
     print(f"switched {sc.n1}+{sc.n2} network (case {sc.case}) "
           f"with {len(records)} measurements; k0 = {summary['k0']}")
     print(f"result: {final.edge_count} inter-links"
@@ -286,8 +307,7 @@ def cmd_verify(scenario_ref, out_dir, seed, case, retain, k0_name, normalize, co
         rows[n1] ^= 1
         claimed = final._with_rows(rows)
     report = verify_pipeline(aug.graph, records, claimed)
-    out = Path(out_dir)
-    _write_json(out / "verification.json", report.to_json(normalize=normalize))
+    _write_reports(Path(out_dir), {"verification.json": _json_report(report.to_json(normalize=normalize))})
     for b in report.branches:
         print(f"branch {b.outcome_string}: fidelity {b.fidelity:.12f} "
               f"{'pass' if b.passed else 'FAIL'}")
@@ -324,10 +344,11 @@ def cmd_compare(scenario_ref, out_dir, seed, case, retain, fmt, normalize):
     payload["scenario"] = sc.name or scenario_ref
     payload["seed"] = sc.seed
     payload["wall_time_s"] = None if normalize else wall
-    out = Path(out_dir)
-    _write_json(out / "comparison.json", payload)
+    reports = {"comparison.json": _json_report(payload)}
     if fmt == "csv":
-        _write_text(out / "comparison.csv", _comparison_csv([_sweep_row(0, sc.seed, sc, report)]))
+        reports["comparison.csv"] = _comparison_csv([_sweep_row(0, sc.seed, sc, report)])
+    out = Path(out_dir)
+    _write_reports(out, reports)
     width = max(len(a["axis"]) for a in report.axes)
     print(f"{'':{width}}  {'TQR':34}  Complement")
     for axis in report.axes:
@@ -410,12 +431,14 @@ def cmd_sweep(out_dir, count, seed, n1, n2, normalize):
         reports.append(entry)
     wall = time.perf_counter() - t0
     out = Path(out_dir)
-    _write_text(out / "sweep.csv", _comparison_csv(rows))
-    _write_json(out / "sweep.json", {
-        "master_seed": seed,
-        "count": count,
-        "wall_time_s": None if normalize else wall,
-        "comparisons": reports,
+    _write_reports(out, {
+        "sweep.csv": _comparison_csv(rows),
+        "sweep.json": _json_report({
+            "master_seed": seed,
+            "count": count,
+            "wall_time_s": None if normalize else wall,
+            "comparisons": reports,
+        }),
     })
     all_const = all(r["complement_rounds"] == 1 and r["complement_measurements"] == 2 for r in rows)
     print(f"swept {count} scenarios (master seed {seed})")

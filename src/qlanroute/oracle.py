@@ -19,7 +19,19 @@ Conventions
   precision throughout. Capacity is capped at 14 qubits.
 * Outcomes are forced, never sampled: :func:`verify_pipeline` runs every
   outcome branch, and :func:`project_x` builds only the branch it is
-  given.
+  given. Branches share their measured prefix: the corrected state after
+  the first measurement feeds both branches that start with its outcome,
+  so the four branches of a switch take 6 projections, not 8.
+
+Kernels
+-------
+Every single-qubit step reads the contiguous view
+``t = amplitudes.reshape(2**axis, 2, rest)`` of qubit ``axis``: ``t[:, 0]``
+and ``t[:, 1]`` are the halves where the qubit is 0 and 1. A projection
+returns ``t[:, 0] +- t[:, 1]`` normalised; a Z negates ``t[:, 1]`` of one
+copy in place; a Y rotation replaces both halves by their sum and
+difference and scales by 1/sqrt(2). A graph state is built from the
+adjacency rows by doubling once per qubit, without a pass per edge.
 
 Correction table
 ----------------
@@ -53,15 +65,12 @@ from typing import Sequence
 import numpy as np
 
 from .errors import CapacityError, InternalAssertionError, UnknownVertexError, ValidationError
-from .graph import InterQlanGraph, LabeledVertex, bit_indices, edge_indices
+from .graph import InterQlanGraph, LabeledVertex, bit_indices
 from .switching import MeasurementRecord, measure_x
 
 MAX_QUBITS = 14
 NORM_TOL = 1e-10
 FIDELITY_TOL = 1e-9
-
-_RY_MINUS = np.array([[1, -1], [1, 1]], dtype=complex) / np.sqrt(2)  # exp(-i pi/4 Y)
-_RY_PLUS = np.array([[1, 1], [-1, 1]], dtype=complex) / np.sqrt(2)  # exp(+i pi/4 Y)
 
 
 @dataclass(frozen=True)
@@ -101,58 +110,60 @@ class QuantumState:
 
 
 def prepare_graph_state(g: InterQlanGraph) -> QuantumState:
-    """|+>^n followed by one CZ per edge; qubit ``i`` is ``g.order[i]``."""
+    """|+>^n followed by one CZ per edge; qubit ``i`` is ``g.order[i]``.
+
+    Amplitude ``x`` is ``2**(-n/2)`` times -1 per edge with both ends set
+    in ``x``. The vector doubles once per qubit, last qubit first: with
+    ``psi[:size]`` the state of the qubits after qubit ``k``, the block
+    ``psi[size:2*size]`` where ``k`` is 1 is ``psi[:size]`` times -1 per
+    neighbor of ``k`` set in the index, read from a table of
+    ``(-1)**popcount``.
+    """
     n = len(g.order)
     if n > MAX_QUBITS:
         raise CapacityError(
             f"{n} qubits exceed the {MAX_QUBITS}-qubit dense-vector capacity; use a smaller graph"
         )
-    psi = np.full((2,) * n, 2 ** (-n / 2), dtype=complex)
-    for (i, j) in edge_indices(g):
-        idx: list = [slice(None)] * n
-        idx[i] = 1
-        idx[j] = 1
-        psi[tuple(idx)] *= -1
-    return QuantumState(psi.reshape(-1), g.order)
-
-
-def _apply_z(tensor: np.ndarray, axis: int) -> np.ndarray:
-    out = tensor.copy()
-    idx: list = [slice(None)] * tensor.ndim
-    idx[axis] = 1
-    out[tuple(idx)] *= -1
-    return out
-
-
-def _apply_1q(tensor: np.ndarray, axis: int, matrix: np.ndarray) -> np.ndarray:
-    out = np.tensordot(matrix, tensor, axes=([1], [axis]))
-    return np.moveaxis(out, 0, axis)
+    parity_sign = np.ones(1 << n >> 1)  # (-1)**popcount(x), doubled up to 2**(n-1)
+    size = 1
+    while size < len(parity_sign):
+        np.negative(parity_sign[:size], out=parity_sign[size:2 * size])
+        size *= 2
+    index = np.arange(len(parity_sign))
+    psi = np.empty(1 << n, dtype=complex)
+    psi[0] = 2 ** (-n / 2)
+    size = 1
+    for row in reversed(g.rows):
+        # qubit j is index bit n-1-j, so the qubits after k are the bits below size
+        later = int(f"{row:0{n}b}"[::-1], 2) & (size - 1)
+        np.multiply(psi[:size], parity_sign[index[:size] & later], out=psi[size:2 * size])
+        size *= 2
+    return QuantumState(psi, g.order)
 
 
 def project_x(state: QuantumState, v: LabeledVertex, outcome: int) -> QuantumState:
     """Projective X measurement on ``v`` with its ``outcome`` forced; removes
     the measured qubit.
 
-    Builds only the forced branch ``(t + outcome * X_v t) / 2``. After
-    projection the measured qubit sits in a product |+> or |-> and is
-    factored out.
+    On the view ``t = amplitudes.reshape(2**axis, 2, rest)`` the forced
+    branch ``(t + outcome * X_v t) / 2`` is ``h / 2`` in the half where
+    ``v`` is 0 and ``outcome * h / 2`` in the other, with
+    ``h = t[:, 0] + outcome * t[:, 1]``: the measured qubit sits in a
+    product |+> or |-> and is factored out, leaving ``h`` normalised.
     """
     if outcome not in (+1, -1):
         raise ValidationError(f"forced outcome must be +1 or -1, got {outcome}")
     axis = state.qubit_index(v)
-    t = state.tensor()
-    flipped = np.flip(t, axis=axis)
-    branch = (t + flipped if outcome == +1 else t - flipped) / 2
-    norm = float(np.linalg.norm(branch))
-    if norm < NORM_TOL:
+    t = state.amplitudes.reshape(1 << axis, 2, -1)
+    reduced = t[:, 0] + t[:, 1] if outcome == +1 else t[:, 0] - t[:, 1]
+    norm = float(np.linalg.norm(reduced))
+    if norm < NORM_TOL * np.sqrt(2):  # the branch itself has norm ``norm / sqrt(2)``
         raise InternalAssertionError(
             f"X projection on {v.name} with outcome {outcome:+d} has zero norm; "
             "this cannot happen for a non-isolated vertex of a graph state"
         )
-    idx: list = [slice(None)] * branch.ndim
-    idx[axis] = 0
-    reduced = branch[tuple(idx)] / norm * np.sqrt(2)
-    order = tuple(u for u in state.qubit_order if u != v)
+    reduced /= norm
+    order = state.qubit_order[:axis] + state.qubit_order[axis + 1:]
     return QuantumState(reduced.reshape(-1), order)
 
 
@@ -197,14 +208,21 @@ def apply_x_corrections(
     graph state of the X-measurement graph rule applied to ``g_pre`` at
     ``v`` with special neighbor ``k0``, up to global phase.
     """
-    t = state.tensor()
+    amps = state.amplitudes.copy()
     for kind, target in ops:
-        axis = state.qubit_index(target)
+        t = amps.reshape(1 << state.qubit_index(target), 2, -1)
+        low, high = t[:, 0], t[:, 1]
         if kind == "z":
-            t = _apply_z(t, axis)
+            high *= -1
         else:
-            t = _apply_1q(t, axis, _RY_MINUS if kind == "ry-" else _RY_PLUS)
-    return QuantumState(t.reshape(-1), state.qubit_order)
+            # exp(-i pi/4 Y): (low, high) -> (low - high, high + low) / sqrt(2)
+            # exp(+i pi/4 Y): (low, high) -> (low + high, high - low) / sqrt(2)
+            combine, update = (np.subtract, np.add) if kind == "ry-" else (np.add, np.subtract)
+            new_low = combine(low, high)
+            update(high, low, out=high)
+            low[...] = new_low
+            amps *= 1 / np.sqrt(2)  # not sqrt(0.5), one ulp above: the golden reports use this
+    return QuantumState(amps, state.qubit_order)
 
 
 def fidelity(a: QuantumState, b: QuantumState) -> float:
@@ -299,8 +317,11 @@ def verify_pipeline(
     recorded measurement for each outcome combination (all 2**k by
     default, or the ``branches`` subset), applies the byproduct
     corrections, and compares against the graph state of ``claimed``.
-    Branches share the start state safely because every step returns a
-    new array. Success means every branch reaches fidelity 1 within 1e-9.
+    Branches that agree on their first outcomes share those steps: each
+    corrected state a later measurement starts from is kept, for this call
+    only, by its outcome prefix, so two measurements take 6 projections,
+    not 8. Sharing is safe because every step returns a new array.
+    Success means every branch reaches fidelity 1 within 1e-9.
     """
     if len(g.order) > MAX_QUBITS:
         raise CapacityError(
@@ -311,7 +332,7 @@ def verify_pipeline(
         branches = list(product((+1, -1), repeat=len(pipeline)))
     t0 = time.perf_counter()
     target = prepare_graph_state(claimed)
-    start = prepare_graph_state(g)
+    states = {(): prepare_graph_state(g)}  # corrected state by outcome prefix
     # the byproducts depend only on (measurement, outcome): evaluate each once
     byproducts = {}
     for k, r in enumerate(pipeline):
@@ -324,20 +345,21 @@ def verify_pipeline(
             raise ValidationError(
                 f"branch {combo} does not assign one outcome per measurement"
             )
-        state = start
-        notes = []
+        combo = tuple(combo)
         for k, (record, outcome) in enumerate(zip(pipeline, combo)):
-            state = project_x(state, record.measured_vertex, outcome)
-            ops, note = byproducts[k, outcome]
-            state = apply_x_corrections(state, ops)
-            notes.append(note)
+            state = states.get(combo[:k + 1])
+            if state is None:
+                state = project_x(states[combo[:k]], record.measured_vertex, outcome)
+                state = apply_x_corrections(state, byproducts[k, outcome][0])
+                if k + 1 < len(pipeline):  # a whole branch is no other branch's prefix
+                    states[combo[:k + 1]] = state
         f = fidelity(state, target)
         results.append(
             BranchResult(
-                outcomes=tuple(combo),
+                outcomes=combo,
                 fidelity=f,
                 passed=bool(f >= 1.0 - FIDELITY_TOL),
-                corrections=tuple(notes),
+                corrections=tuple(byproducts[k, s][1] for k, s in enumerate(combo)),
             )
         )
     fids = [b.fidelity for b in results]

@@ -16,6 +16,7 @@ from qlanroute.graph import (
     client,
     client_graph,
     complement_graph,
+    edge_indices,
     edges_as_names,
     make_edge,
     neighbors,
@@ -97,6 +98,15 @@ def plain_graphs(draw, max_vertices: int = 10) -> InterQlanGraph:
     return random_plain_graph(random.Random(seed), max_vertices=max_vertices)
 
 
+@st.composite
+def random_states(draw, max_qubits: int = 10) -> QuantumState:
+    """A normalised complex state on 1..max_qubits qubits, Gaussian amplitudes."""
+    n = draw(st.integers(min_value=1, max_value=max_qubits))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+    return QuantumState(amps / np.linalg.norm(amps), tuple(client(1, i) for i in range(1, n + 1)))
+
+
 # -- independent references ----------------------------------------------------
 
 
@@ -114,6 +124,50 @@ def apply_pauli(state: QuantumState, kind: str, v: LabeledVertex) -> QuantumStat
     else:
         raise ValueError(f"unknown Pauli kind {kind!r}")
     return QuantumState(t.reshape(-1), state.qubit_order)
+
+
+def reference_prepare_graph_state(g: InterQlanGraph) -> QuantumState:
+    """|+>^n on the (2,)*n tensor, then one strided sign flip per edge (CZ)."""
+    n = len(g.order)
+    psi = np.full((2,) * n, 2 ** (-n / 2), dtype=complex)
+    for (i, j) in edge_indices(g):
+        idx: list = [slice(None)] * n
+        idx[i] = 1
+        idx[j] = 1
+        psi[tuple(idx)] *= -1
+    return QuantumState(psi.reshape(-1), g.order)
+
+
+def reference_project_x(state: QuantumState, v: LabeledVertex, outcome: int) -> QuantumState:
+    """The whole branch ``(t + outcome * X_v t) / 2`` built with ``np.flip``,
+    renormalised, with the measured qubit's 0 slice kept."""
+    axis = state.qubit_index(v)
+    t = state.tensor()
+    flipped = np.flip(t, axis=axis)
+    branch = (t + flipped if outcome == +1 else t - flipped) / 2
+    idx: list = [slice(None)] * branch.ndim
+    idx[axis] = 0
+    reduced = branch[tuple(idx)] / float(np.linalg.norm(branch)) * np.sqrt(2)
+    return QuantumState(reduced.reshape(-1), tuple(u for u in state.qubit_order if u != v))
+
+
+_REFERENCE_ROTATIONS = {
+    "ry-": np.array([[1, -1], [1, 1]], dtype=complex) / np.sqrt(2),  # exp(-i pi/4 Y)
+    "ry+": np.array([[1, 1], [-1, 1]], dtype=complex) / np.sqrt(2),  # exp(+i pi/4 Y)
+}
+
+
+def reference_apply_x_corrections(state: QuantumState, ops) -> QuantumState:
+    """Each Z through :func:`apply_pauli`, each rotation as a 2x2 matrix
+    contracted into the qubit's tensor axis."""
+    for kind, target in ops:
+        if kind == "z":
+            state = apply_pauli(state, "Z", target)
+        else:
+            axis = state.qubit_index(target)
+            t = np.tensordot(_REFERENCE_ROTATIONS[kind], state.tensor(), axes=([1], [axis]))
+            state = QuantumState(np.moveaxis(t, 0, axis).reshape(-1), state.qubit_order)
+    return state
 
 
 def stabilizer_expectation(state: QuantumState, g: InterQlanGraph, v: LabeledVertex) -> float:

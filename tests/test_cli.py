@@ -298,22 +298,24 @@ def test_in_process_calls_do_not_keep_their_output_streams(tmp_path):
 # -- report writing -------------------------------------------------------------
 
 
-@pytest.mark.parametrize("args, first_report", [
-    (["complement", "--scenario", "fig2"], "result_graph.json"),
-    (["verify", "--scenario", "exhaustive_small"], "verification.json"),
-    (["compare", "--scenario", "fig1"], "comparison.json"),
-    (["sweep", "--count", 1], "sweep.csv"),
+@pytest.mark.parametrize("args, reports", [
+    (["complement", "--scenario", "fig2"], ["result_graph.json", "trace.json", "summary.json"]),
+    (["verify", "--scenario", "exhaustive_small"], ["verification.json"]),
+    (["compare", "--scenario", "fig1", "--format", "csv"], ["comparison.json", "comparison.csv"]),
+    (["sweep", "--count", 1], ["sweep.csv", "sweep.json"]),
 ], ids=["complement", "verify", "compare", "sweep"])
-def test_an_unwritable_report_is_a_validation_error(runner, tmp_path, args, first_report):
+def test_an_unwritable_report_is_a_validation_error(runner, tmp_path, args, reports):
     blocker = tmp_path / "file"
     blocker.write_text("")
     result = invoke(runner, *args, "--out", blocker / "sub")
     assert "cannot write report" in assert_one_json_error(result, 1)["message"]
-    out = tmp_path / "out"
-    (out / first_report).mkdir(parents=True)  # a directory sitting at the report path
-    result = invoke(runner, *args, "--out", out)
-    assert "cannot write report" in assert_one_json_error(result, 1)["message"]
-    assert [p.name for p in out.iterdir()] == [first_report]  # no .tmp file left behind
+    for blocked in reports:
+        out = tmp_path / blocked
+        (out / blocked).mkdir(parents=True)  # a directory sitting at one report's path
+        result = invoke(runner, *args, "--out", out)
+        assert f"cannot write report {out / blocked}" in assert_one_json_error(result, 1)["message"]
+        # none of the run's other reports, and no .tmp file, is left behind
+        assert [p.name for p in out.iterdir()] == [blocked]
 
 
 # -- bundled scenarios --------------------------------------------------------

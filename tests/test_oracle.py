@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qlanroute.errors import (
     CapacityError,
@@ -41,7 +43,17 @@ from qlanroute.switching import (
     run_pipeline,
 )
 
-from helpers import plain_graphs, random_client_graph, random_plain_graph, stabilizer_expectation
+from helpers import (
+    client_graphs,
+    plain_graphs,
+    random_client_graph,
+    random_plain_graph,
+    random_states,
+    reference_apply_x_corrections,
+    reference_prepare_graph_state,
+    reference_project_x,
+    stabilizer_expectation,
+)
 
 INV_SQRT2 = 1 / np.sqrt(2)
 
@@ -89,7 +101,25 @@ def test_stabilizer_expectation_detects_wrong_graph():
     assert stabilizer_expectation(state, g, client(1, 1)) != pytest.approx(1.0, abs=1e-3)
 
 
+@settings(max_examples=150)
+@given(st.one_of(plain_graphs(max_vertices=14), client_graphs(max_n1=7, max_n2=7)))
+def test_prepare_matches_the_per_edge_reference_exactly(g):
+    state = prepare_graph_state(g)
+    assert state.qubit_order == g.order
+    assert np.array_equal(state.amplitudes, reference_prepare_graph_state(g).amplitudes)
+
+
 # -- projection -------------------------------------------------------------
+
+
+@settings(max_examples=150)
+@given(random_states())
+def test_project_matches_the_flip_reference_on_every_axis(state):
+    for v in state.qubit_order:
+        for outcome in (+1, -1):
+            got, ref = project_x(state, v, outcome), reference_project_x(state, v, outcome)
+            assert got.qubit_order == ref.qubit_order
+            assert np.allclose(got.amplitudes, ref.amplitudes, rtol=0, atol=1e-12)
 
 
 def test_project_plus_on_edge_state_gives_plus_after_correction():
@@ -198,6 +228,19 @@ def test_correction_ops_match_the_set_reference(g):
             if k0 != a and g.has_edge(a, k0):
                 for outcome in (+1, -1):
                     assert x_correction_ops(g, a, k0, outcome) == ref_correction_ops(g, a, k0, outcome)
+
+
+@settings(max_examples=150)
+@given(random_states(), st.data())
+def test_corrections_match_the_tensordot_reference(state, data):
+    order = state.qubit_order
+    z_targets = data.draw(st.lists(st.sampled_from(order), unique=True))
+    rotation = data.draw(st.sampled_from(["ry-", "ry+"]))
+    ops = [("z", v) for v in z_targets] + [(rotation, data.draw(st.sampled_from(order)))]
+    got = apply_x_corrections(state, ops)
+    assert np.allclose(got.amplitudes, reference_apply_x_corrections(state, ops).amplitudes,
+                       rtol=0, atol=1e-12)
+    assert not np.shares_memory(got.amplitudes, state.amplitudes)
 
 
 def test_correction_rejects_non_neighbor_k0():
@@ -317,6 +360,42 @@ def test_verify_branches_are_independent_of_each_other(augment):
         assert (alone.outcomes, alone.fidelity, alone.corrections) == (b.outcomes, b.fidelity, b.corrections)
     again = verify_pipeline(aug.graph, records, final)
     assert again.to_json(normalize=True) == full.to_json(normalize=True)
+
+
+def test_verify_shares_the_first_measurement_between_branches(monkeypatch):
+    # each corrected state after the first measurement feeds both branches
+    # that start with its outcome: 2 + 4 projections and corrections, not 8
+    g = random_client_graph(random.Random(5), 3, 3)
+    aug = augment_case1(g)
+    final, records = run_pipeline(aug)
+    calls = Counter()
+
+    def counted(fn):
+        def wrapper(*args):
+            calls[fn.__name__] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(oracle, "project_x", counted(project_x))
+    monkeypatch.setattr(oracle, "apply_x_corrections", counted(apply_x_corrections))
+    report = verify_pipeline(aug.graph, records, final)
+    assert report.passed and len(report.branches) == 4
+    assert calls == {"project_x": 6, "apply_x_corrections": 6}
+
+
+@pytest.mark.parametrize("subset", [
+    [(-1, +1)],
+    [(+1, -1), (+1, -1)],
+    [(-1, -1), (+1, +1), (-1, -1), (-1, +1)],
+], ids=["single", "repeated", "mixed"])
+def test_verify_branch_subsets_match_the_full_run(subset):
+    g = random_client_graph(random.Random(5), 3, 3)
+    aug = augment_case2(g)
+    final, records = run_pipeline(aug)
+    full = {b.outcomes: (b.outcomes, b.fidelity, b.corrections)
+            for b in verify_pipeline(aug.graph, records, final).branches}
+    part = verify_pipeline(aug.graph, records, final, branches=subset)
+    assert [(b.outcomes, b.fidelity, b.corrections) for b in part.branches] == [full[c] for c in subset]
 
 
 def test_verify_evaluates_each_byproduct_once(monkeypatch):
