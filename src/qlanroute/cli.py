@@ -9,7 +9,10 @@ A report that cannot be written, say under an ``--out`` below a regular
 file or over a directory, is a validation failure and leaves none of the
 run's reports and no temporary file. Every JSON report goes through one
 stdlib writer, ``_dumps``, whose bytes equal
-``json.dumps(obj, indent=2, sort_keys=True)``.
+``json.dumps(obj, indent=2, sort_keys=True)``; it renders the graph
+reports' edge blocks straight from the adjacency rows. ``--help`` and
+``--version`` print with ``print``, so an in-process caller's output
+stream is not kept alive.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ import random
 import sys
 import time
 from dataclasses import replace
-from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
@@ -32,7 +34,15 @@ import click
 
 from . import __version__
 from .errors import CapacityError, InternalAssertionError, ValidationError
-from .graph import complement_graph, edges_as_names, graph_to_json, to_dot, vertex_from_name
+from .graph import (
+    EdgeRows,
+    complement_graph,
+    edges_as_names,
+    graph_to_json,
+    to_dot,
+    upper_neighbors,
+    vertex_from_name,
+)
 from .oracle import verify_pipeline
 from .routing import compare as compare_strategies
 from .scenario import (
@@ -110,10 +120,13 @@ def _dumps(obj, depth: int = 0) -> str:
     """``json.dumps(obj, indent=2, sort_keys=True)``, byte for byte.
 
     With an indent, CPython before 3.13 encodes in pure Python. Here strings
-    are quoted by the C ``encode_basestring_ascii``, and the edge lists that
-    make up most of a trace (lists of two-string lists) are quoted in one
-    ``map`` and filled into one pair template. Floats and other scalars go
-    through ``json.dumps``, so their spelling is the encoder's own.
+    are quoted by the C ``encode_basestring_ascii``. An :class:`EdgeRows`
+    block, most of a trace, is rendered as the list of its name pairs
+    straight from the graph's rows: each vertex's name is quoted once per
+    ``order`` and depth, into the texts that open and close a pair, and
+    each row's pairs are one ``join`` of the texts its bits select. Floats
+    and other scalars go through ``json.dumps``, so their spelling is the
+    encoder's own.
     """
     kind = type(obj)
     if kind is str:
@@ -122,6 +135,11 @@ def _dumps(obj, depth: int = 0) -> str:
         return int.__repr__(obj)
     if kind is bool or obj is None:
         return _LITERALS[obj]
+    if kind is EdgeRows:  # each row's pairs share their head: one join per row
+        heads, tails = _pair_texts(obj.graph.order, depth)
+        body = "".join([heads[i] + heads[i].join(tail)
+                        for i, tail in upper_neighbors(obj.graph, obj.mask, tails)])
+        return "[" + body[1:] + "\n" + "  " * depth + "]" if body else "[]"
     is_list = isinstance(obj, (list, tuple))
     if not (is_list or isinstance(obj, dict)):
         return json.dumps(obj)
@@ -138,13 +156,24 @@ def _dumps(obj, depth: int = 0) -> str:
         body = sep.join(map(_quote, obj))
     elif kinds == {int}:
         body = sep.join(map(int.__repr__, obj))
-    elif kinds <= {list, tuple} and set(map(len, obj)) == {2} and {
-            type(x) for x in chain.from_iterable(obj)} == {str}:
-        pair = "[" + inner + "  %s," + inner + "  %s" + inner + "]"
-        body = sep.join([pair] * len(obj)) % tuple(map(_quote, chain.from_iterable(obj)))
     else:
         body = sep.join([_dumps(x, depth + 1) for x in obj])
     return "[" + inner + body + "\n" + "  " * depth + "]"
+
+
+@functools.lru_cache(maxsize=16)
+def _pair_texts(order: tuple, depth: int) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The text around each vertex of ``order`` in an edge block at ``depth``.
+
+    A pair ``[a, b]`` is ``heads[a] + tails[b]``: ``heads`` opens the pair
+    (after the comma and line break that precede every pair) and quotes
+    ``a``; ``tails`` quotes ``b`` and closes the pair.
+    """
+    inner = "\n" + "  " * (depth + 1)
+    quoted = [_quote(v.name) for v in order]
+    heads = tuple("," + inner + "[" + inner + "  " + q + "," + inner + "  " for q in quoted)
+    tails = tuple(q + inner + "]" for q in quoted)
+    return heads, tails
 
 
 def _key(key) -> str:
@@ -211,15 +240,37 @@ normalize_option = click.option("--normalize", is_flag=True,
                                 help="Blank wall-clock fields so reports are byte-reproducible.")
 
 
+# click's own --version and --help echo through its per-stream cache, which
+# keeps an in-process caller's output stream alive; these print instead
 def _print_version(ctx: click.Context, _param, value: bool) -> None:
-    # click.version_option echoes through click's per-stream cache, which keeps
-    # an in-process caller's output stream alive
     if value and not ctx.resilient_parsing:
         print(f"{ctx.find_root().info_name}, version {__version__}")
         ctx.exit()
 
 
-@click.group()
+def _print_help(ctx: click.Context, _param, value: bool) -> None:
+    if value and not ctx.resilient_parsing:
+        print(ctx.get_help())
+        ctx.exit()
+
+
+class _PrintedHelp:
+    def get_help_option(self, ctx: click.Context) -> click.Option | None:
+        option = super().get_help_option(ctx)
+        if option is not None:
+            option.callback = _print_help
+        return option
+
+
+class _Command(_PrintedHelp, click.Command):
+    pass
+
+
+class _Group(_PrintedHelp, click.Group):
+    command_class = _Command
+
+
+@click.group(cls=_Group)
 @click.option("--version", is_flag=True, expose_value=False, is_eager=True,
               callback=_print_version, help="Show the version and exit.")
 def main() -> None:

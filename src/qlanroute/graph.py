@@ -17,6 +17,10 @@ complement is one mask operation per client. Walking the rows in index
 order yields the edges already in canonical order, so export never sorts;
 likewise :func:`neighbors` and :func:`complement_neighborhood` read one
 row mask and return a tuple of vertices in canonical order.
+:func:`graph_to_json` puts an :class:`EdgeRows` where an edge list goes:
+a value backed by the rows, which the report writer renders without
+building the list of name pairs. Client graphs of one size share their
+vertex objects, made once.
 
 :class:`LabeledVertex` objects and their names appear only at the
 boundaries: the public constructor, lookups by vertex, and export. The
@@ -33,10 +37,12 @@ the constructor.
 
 from __future__ import annotations
 
+import functools
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Iterator
+from itertools import compress
+from typing import Iterable, Iterator, Sequence
 
 from .errors import UnknownVertexError, ValidationError
 
@@ -220,7 +226,7 @@ class InterQlanGraph:
     def edges(self) -> frozenset[Edge]:
         if self._edges is None:
             order = self.order
-            edges = frozenset((order[i], order[j]) for i, js in _upper_neighbors(self) for j in js)
+            edges = frozenset((order[i], v) for i, tail in upper_neighbors(self, -1, order) for v in tail)
             object.__setattr__(self, "_edges", edges)
         return self._edges
 
@@ -301,6 +307,15 @@ class InterQlanGraph:
         return f"InterQlanGraph(vertices={list(self.order)}, edges={edges_as_names(self)})"
 
 
+@functools.lru_cache(maxsize=8)
+def _edgeless(n1: int, n2: int) -> InterQlanGraph:
+    """The ``n1 + n2`` clients with no edge, made once per size: graphs are
+    immutable, so every client graph of that size shares its vertices."""
+    order = tuple(LabeledVertex(Qlan.Q1, i) for i in range(1, n1 + 1))
+    order += tuple(LabeledVertex(Qlan.Q2, j) for j in range(1, n2 + 1))
+    return InterQlanGraph._from_rows(order, [0] * (n1 + n2))
+
+
 def client_graph(n1: int, n2: int, links: Iterable[tuple[int, int]] = ()) -> InterQlanGraph:
     """Client-only Inter-QLAN on ``n1 + n2`` vertices.
 
@@ -309,8 +324,6 @@ def client_graph(n1: int, n2: int, links: Iterable[tuple[int, int]] = ()) -> Int
     """
     if n1 < 0 or n2 < 0:
         raise ValidationError("QLAN sizes must be non-negative")
-    order = tuple(LabeledVertex(Qlan.Q1, i) for i in range(1, n1 + 1))
-    order += tuple(LabeledVertex(Qlan.Q2, j) for j in range(1, n2 + 1))
     rows = [0] * (n1 + n2)
     for (i, j) in links:
         if not (1 <= i <= n1 and 1 <= j <= n2):
@@ -318,7 +331,7 @@ def client_graph(n1: int, n2: int, links: Iterable[tuple[int, int]] = ()) -> Int
         a, b = i - 1, n1 + j - 1
         rows[a] |= 1 << b
         rows[b] |= 1 << a
-    return InterQlanGraph._from_rows(order, rows)
+    return _edgeless(n1, n2)._with_rows(rows)
 
 
 def neighbors(g: InterQlanGraph, v: LabeledVertex) -> tuple[LabeledVertex, ...]:
@@ -409,27 +422,60 @@ def validate_client_graph(g: InterQlanGraph) -> None:
 # -- serialization -----------------------------------------------------
 
 
-def _upper_neighbors(g: InterQlanGraph, mask: int = -1) -> Iterator[tuple[int, list[int]]]:
-    """Each vertex ``i`` with the positions ``j > i`` of its neighbors inside ``mask``.
+_BITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def upper_neighbors(g: InterQlanGraph, mask: int, items: Sequence) -> Iterator[tuple[int, Iterator]]:
+    """Each vertex ``i`` with an edge to a later vertex inside ``mask``, and
+    ``items[j]`` for each such neighbor ``j``, ascending.
 
     Read in order, the ``(i, j)`` pairs are the edges in canonical order.
+    The neighbors are picked by ``compress`` over the row's bits, so no
+    position list is built.
     """
     for i, r in enumerate(g.rows):
         upper = r & mask & ~((2 << i) - 1)
         if upper:
-            yield i, bit_indices(upper)
+            yield i, compress(items, bin(upper)[:1:-1].encode().translate(_BITS))
 
 
 def edge_indices(g: InterQlanGraph) -> list[tuple[int, int]]:
     """Every edge as ``(i, j)`` positions with ``i < j``, in canonical edge order."""
-    return [(i, j) for i, js in _upper_neighbors(g) for j in js]
+    return [(i, j) for i, js in upper_neighbors(g, -1, range(len(g.order))) for j in js]
 
 
 def edges_as_names(g: InterQlanGraph, mask: int = -1) -> list[list[str]]:
     """Edges as name pairs in canonical order; ``mask`` keeps those whose
     second endpoint is in it."""
     names = [v.name for v in g.order]
-    return [[names[i], names[j]] for i, js in _upper_neighbors(g, mask) for j in js]
+    return [[names[i], name] for i, tail in upper_neighbors(g, mask, names) for name in tail]
+
+
+class EdgeRows:
+    """``edges_as_names(graph, mask)`` as a read-only value backed by the rows.
+
+    Reports hold it in place of the name-pair list: the report writer
+    renders it straight from the rows. Iterating it and ``in`` behave as on
+    the list, and it compares equal to that list and to any ``EdgeRows`` of
+    the same edges. It is not a list: ``+``, indexing and ``json.dumps``
+    need ``list(...)`` of it.
+    """
+
+    __slots__ = ("graph", "mask")
+
+    def __init__(self, graph: InterQlanGraph, mask: int = -1) -> None:
+        self.graph = graph
+        self.mask = mask
+
+    def __iter__(self) -> Iterator[list[str]]:
+        return iter(edges_as_names(self.graph, self.mask))
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, (EdgeRows, list)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    __hash__ = None  # equal to a list, so unhashable like one
 
 
 def graph_to_json(g: InterQlanGraph) -> dict:
@@ -437,7 +483,10 @@ def graph_to_json(g: InterQlanGraph) -> dict:
 
     Requires client indices to be contiguous (1..n per QLAN) so that the
     ``n1`` / ``n2`` counts identify the client population; names, not
-    internal indices, are the serialized identity of super-nodes.
+    internal indices, are the serialized identity of super-nodes. The two
+    edge blocks are :class:`EdgeRows`, not lists: they iterate and compare
+    equal as the name-pair lists, and ``cli._dumps`` writes them, but
+    ``json.dumps`` needs ``list(...)`` of each.
     """
     for q in Qlan:
         got = [v.index for v in g.clients(q)]
@@ -453,9 +502,9 @@ def graph_to_json(g: InterQlanGraph) -> dict:
     return {
         "n1": g.n1,
         "n2": g.n2,
-        "edges": edges_as_names(g, clients),
+        "edges": EdgeRows(g, clients),
         "supers": {"s1": "s1" in supers, "s2": "s2" in supers},
-        "super_edges": edges_as_names(g, ~clients),
+        "super_edges": EdgeRows(g, ~clients),
     }
 
 

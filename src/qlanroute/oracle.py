@@ -58,7 +58,7 @@ by the fidelity sweep in the test suite.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
 from typing import Sequence
 
@@ -79,14 +79,17 @@ class QuantumState:
 
     amplitudes: np.ndarray
     qubit_order: tuple[LabeledVertex, ...]
+    _axis: dict[LabeledVertex, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         amps = np.asarray(self.amplitudes, dtype=complex)
         object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "qubit_order", tuple(self.qubit_order))
         n = len(self.qubit_order)
-        if len(set(self.qubit_order)) != n:
+        axis = dict(zip(self.qubit_order, range(n)))
+        if len(axis) != n:
             raise ValidationError("qubit_order must map distinct vertices to qubits")
+        object.__setattr__(self, "_axis", axis)
         if amps.shape != (2**n,):
             raise ValidationError(
                 f"amplitude vector has length {amps.shape}, expected ({2 ** n},) for {n} qubits"
@@ -101,8 +104,8 @@ class QuantumState:
 
     def qubit_index(self, v: LabeledVertex) -> int:
         try:
-            return self.qubit_order.index(v)
-        except ValueError:
+            return self._axis[v]
+        except KeyError:
             raise UnknownVertexError(f"vertex {v.name} is not live in this state") from None
 
     def tensor(self) -> np.ndarray:
@@ -234,7 +237,7 @@ def fidelity(a: QuantumState, b: QuantumState) -> float:
     if a.qubit_order == b.qubit_order:
         bt = b.amplitudes
     else:
-        axes = [b.qubit_order.index(v) for v in a.qubit_order]
+        axes = [b.qubit_index(v) for v in a.qubit_order]
         bt = np.transpose(b.tensor(), axes).reshape(-1)
     return float(abs(np.vdot(a.amplitudes, bt)))
 

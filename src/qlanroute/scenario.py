@@ -17,16 +17,26 @@ A scenario is a JSON object:
 
 The same file feeds both strategies, which keeps the physical and
 artificial descriptions of one scenario consistent by construction.
+
+Parsing checks each name pair once, against the client names of the
+scenario's size, which are made once per size and shared with the
+builders: ``scenario_graph`` reads each inter-link's endpoints from the
+same name-to-position table. Well-formed pair lists are checked by set
+tests on whole columns; only a list that fails them is walked pair by
+pair, which names the first offending pair.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import random
 from dataclasses import dataclass, field
 from importlib import resources
+from itertools import chain
 from pathlib import Path
-from typing import Mapping
+from types import MappingProxyType
+from typing import Mapping, NamedTuple
 
 from .errors import ValidationError
 from .graph import (
@@ -84,20 +94,77 @@ def _int_field(data: dict, fld: str, source: str, minimum: int = 0) -> int:
     return value
 
 
-def _pair_list(data: dict, fld: str, source: str) -> tuple[tuple[str, str], ...]:
+class _Roster(NamedTuple):
+    """The client names of an ``n1 + n2`` scenario."""
+
+    q1: frozenset[str]
+    q2: frozenset[str]
+    position: Mapping[str, int]  # canonical order: "1.i" at i - 1, "2.j" at n1 + j - 1
+
+
+@functools.lru_cache(maxsize=8)
+def _roster(n1: int, n2: int) -> _Roster:
+    """Made once per size and shared, so ``position`` is read-only."""
+    q1 = [f"1.{i}" for i in range(1, n1 + 1)]
+    q2 = [f"2.{j}" for j in range(1, n2 + 1)]
+    position = MappingProxyType({name: k for k, name in enumerate(q1 + q2)})
+    return _Roster(frozenset(q1), frozenset(q2), position)
+
+
+def _pair_list(data: dict, fld: str, source: str, roster: _Roster) -> tuple[tuple[str, str], ...]:
+    """Field ``fld`` as pairs of client names. An inter-link must join the
+    two QLANs, in either order; a request must run from QLAN 1 to QLAN 2.
+
+    Pairs are walked one by one, each name looked up in ``roster``, which
+    names the first offender. A list that passes the set tests below, on
+    whole columns, is accepted without the walk: it holds only 2-item pairs
+    of client names, each from QLAN 1 to QLAN 2 unless they are physical
+    links. That saves about 1 ms of a 64+64 complement op's 11 ms (2-vCPU
+    host).
+    """
     raw = data.get(fld, [])
     if not isinstance(raw, list):
         raise _field_error(source, fld, f"must be a list of 2-item name pairs, got {type(raw).__name__}")
+    if set(map(type, raw)) <= {list, tuple} and set(map(len, raw)) <= {2}:
+        flat = list(chain.from_iterable(raw))
+        try:
+            if fld == "physical_links":
+                known = roster.position.keys() >= set(flat)
+            else:
+                known = roster.q1.issuperset(flat[0::2]) and roster.q2.issuperset(flat[1::2])
+        except TypeError:  # an unhashable name: the walk reports it
+            known = False
+        if known:
+            # a list comprehension: tuple(zip(...)) here left peak RSS higher in long runs
+            return tuple([(a, b) for a, b in raw])
+    n1, get = len(roster.q1), roster.position.get
     out = []
     for k, entry in enumerate(raw):
         if not isinstance(entry, (list, tuple)) or len(entry) != 2:
             raise _field_error(source, f"{fld}[{k}]", f"must be a 2-item pair, got {entry!r}")
-        out.append((str(entry[0]), str(entry[1])))
+        a, b = str(entry[0]), str(entry[1])
+        i, j = get(a), get(b)
+        if fld == "requests":
+            if i is None or j is None:
+                raise _field_error(source, f"requests[{k}]", f"names unknown client in ({a}, {b})")
+            if not i < n1 <= j:
+                raise _field_error(source, f"requests[{k}]",
+                                   f"({a}, {b}) must run from a QLAN 1 source to a QLAN 2 destination")
+        else:
+            if i is None or j is None:
+                raise _field_error(source, fld, f"names unknown client {(a if i is None else b)!r}")
+            if fld == "inter_links" and (i < n1) == (j < n1):
+                raise _field_error(source, fld, f"({a}, {b}) stays inside one QLAN")
+        out.append((a, b))
     return tuple(out)
 
 
 def parse_scenario(data: dict, source: str = "scenario") -> Scenario:
-    """Validate a decoded scenario object, naming the offending field on error."""
+    """Validate a decoded scenario object, naming the offending field on error.
+
+    Every client name is checked once, against the client names of the
+    scenario's size, made once per size.
+    """
     if not isinstance(data, dict):
         raise ValidationError(f"{source}: top level must be a JSON object")
     known = {
@@ -129,51 +196,27 @@ def parse_scenario(data: dict, source: str = "scenario") -> Scenario:
     run_when_empty = data.get("run_when_empty", True)
     if not isinstance(run_when_empty, bool):
         raise _field_error(source, "run_when_empty", f"must be a boolean, got {run_when_empty!r}")
-    sc = Scenario(
+    roster = _roster(n1, n2)
+    pairs = {fld: _pair_list(data, fld, source, roster)
+             for fld in ("inter_links", "physical_links", "requests")}
+    retain = tuple(map(str, retain_raw))
+    for r in retain:
+        if r not in roster.position:
+            raise _field_error(source, "retain", f"names unknown client {r!r}")
+    for node in comm:
+        if node not in roster.position:
+            raise _field_error(source, "comm_qubits", f"names unknown node {node!r}")
+    return Scenario(
         n1=n1,
         n2=n2,
-        inter_links=_pair_list(data, "inter_links", source),
-        physical_links=_pair_list(data, "physical_links", source),
         comm_qubits=comm,
-        requests=_pair_list(data, "requests", source),
-        retain=tuple(str(r) for r in retain_raw),
+        retain=retain,
         case=case,
         seed=seed,
         run_when_empty=run_when_empty,
         name=str(data.get("name", "")),
+        **pairs,
     )
-    _cross_validate(sc, source)
-    return sc
-
-
-def _client_names(sc: Scenario) -> set[str]:
-    return {f"1.{i}" for i in range(1, sc.n1 + 1)} | {f"2.{j}" for j in range(1, sc.n2 + 1)}
-
-
-def _cross_validate(sc: Scenario, source: str) -> None:
-    names = _client_names(sc)
-    for fld, pairs in (("inter_links", sc.inter_links), ("physical_links", sc.physical_links)):
-        for (a, b) in pairs:
-            for end in (a, b):
-                if end not in names:
-                    raise _field_error(source, fld, f"names unknown client {end!r}")
-    for (a, b) in sc.inter_links:
-        if a.split(".")[0] == b.split(".")[0]:
-            raise _field_error(source, "inter_links", f"({a}, {b}) stays inside one QLAN")
-    for k, (s, d) in enumerate(sc.requests):
-        if s not in names or d not in names:
-            raise _field_error(source, f"requests[{k}]", f"names unknown client in ({s}, {d})")
-        if not (s.startswith("1.") and d.startswith("2.")):
-            raise _field_error(
-                source, f"requests[{k}]",
-                f"({s}, {d}) must run from a QLAN 1 source to a QLAN 2 destination",
-            )
-    for r in sc.retain:
-        if r not in names:
-            raise _field_error(source, "retain", f"names unknown client {r!r}")
-    for node in sc.comm_qubits:
-        if node not in names:
-            raise _field_error(source, "comm_qubits", f"names unknown node {node!r}")
 
 
 def load_scenario(path: str | Path) -> Scenario:
@@ -198,24 +241,27 @@ def load_scenario(path: str | Path) -> Scenario:
 
 
 def scenario_graph(sc: Scenario) -> InterQlanGraph:
-    q1 = {f"1.{i}": i for i in range(1, sc.n1 + 1)}
-    q2 = {f"2.{j}": j for j in range(1, sc.n2 + 1)}
-    links = []
+    """The client graph of ``sc``'s inter-links, in either orientation."""
+    n1, position = sc.n1, _roster(sc.n1, sc.n2).position
+    rows = [0] * len(position)
     for (a, b) in sc.inter_links:
-        if a in q2 and b in q1:
-            a, b = b, a
-        if a not in q1 or b not in q2:
+        try:
+            i, j = position[a], position[b]
+        except KeyError:  # not a client: fails the QLAN test below
+            i = j = -1
+        if (i < n1) == (j < n1):
             raise ValidationError(
                 f"inter-link ({a}, {b}) does not join a QLAN 1 and a QLAN 2 client "
                 f"of a {sc.n1}+{sc.n2} network"
             )
-        links.append((q1[a], q2[b]))
-    return client_graph(sc.n1, sc.n2, links)
+        rows[i] |= 1 << j
+        rows[j] |= 1 << i
+    return client_graph(sc.n1, sc.n2)._with_rows(rows)
 
 
 def scenario_topology(sc: Scenario) -> PhysicalTopology:
     return PhysicalTopology(
-        nodes=frozenset(_client_names(sc)),
+        nodes=frozenset(_roster(sc.n1, sc.n2).position),
         links=frozenset(sc.physical_links),
         comm_qubits=dict(sc.comm_qubits),
     )
@@ -258,7 +304,7 @@ def random_scenario(seed: int, n1: int = 3, n2: int = 4) -> Scenario:
         links.remove(rng.choice(links))
     inter_links = tuple((f"1.{i}", f"2.{j}") for (i, j) in sorted(links))
 
-    names = sorted(_client_names(Scenario(n1=n1, n2=n2)))
+    names = sorted(_roster(n1, n2).position)
     order = names[:]
     rng.shuffle(order)
     physical = {(min(a, b), max(a, b)) for a, b in zip(order, order[1:])}

@@ -36,12 +36,12 @@ from typing import ClassVar, Iterable, Sequence
 
 from .errors import InternalAssertionError, ValidationError
 from .graph import (
+    EdgeRows,
     InterQlanGraph,
     LabeledVertex,
     Qlan,
     bit_indices,
     delete_vertex,
-    edges_as_names,
     first_intra_qlan_edge,
     local_complement,
     super_node,
@@ -220,7 +220,7 @@ def run_pipeline(
 def _graph_snapshot(g: InterQlanGraph) -> dict:
     return {
         "vertices": [v.name for v in g.order],
-        "edges": edges_as_names(g),
+        "edges": EdgeRows(g),
     }
 
 

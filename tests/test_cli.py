@@ -265,6 +265,18 @@ def test_version_option_prints_the_package_version(runner):
     assert __version__ in result.output
 
 
+@pytest.mark.parametrize("args, usage, first_line", [
+    (["--help"], "Usage: main [OPTIONS] COMMAND [ARGS]...", "Graph-complement switching"),
+    (["complement", "--help"], "Usage: main complement [OPTIONS]", "Run the super-node measurement"),
+])
+def test_help_prints_the_command_help_once(runner, args, usage, first_line):
+    result = invoke(runner, *args)
+    assert result.exit_code == 0
+    assert result.output.startswith(usage + "\n\n  " + first_line)
+    assert result.output.count("Usage:") == 1 and "--help" in result.output
+    assert result.output.endswith("\n") and not result.output.endswith("\n\n")
+
+
 def _call_in_process(argv):
     """One in-process CLI call with its output sent to a fresh stream; returns
     the exit code and a weak reference to that stream."""
@@ -285,6 +297,8 @@ def test_in_process_calls_do_not_keep_their_output_streams(tmp_path):
         (["complement", "--scenario", "fig2", "--out", str(tmp_path / "b")], 0),
         (["verify", "--scenario", "exhaustive_small", "--corrupt", "--out", str(tmp_path / "c")], 1),
         (["--version"], 0),
+        (["--help"], 0),
+        (["complement", "--help"], 0),
     ]
     refs = []
     for argv, expected in calls:

@@ -143,5 +143,5 @@ def test_views_and_export_follow_canonical_order(g):
     for u, v in combinations(g.order, 2):
         assert g.has_edge(u, v) == (frozenset((u.name, v.name)) in ref_of(g)[1])
     data = graph_to_json(g)  # clients are contiguous from 1 here, so it serializes
-    assert data["edges"] + data["super_edges"] == sorted(
+    assert list(data["edges"]) + list(data["super_edges"]) == sorted(
         edges_as_names(g), key=lambda e: any(n.startswith("s") for n in e))

@@ -2,19 +2,23 @@
 
 ``cli._dumps`` must equal ``json.dumps(obj, indent=2, sort_keys=True)``
 byte for byte on every JSON value, including the spellings the encoder
-owns (``1e-09``, ``NaN``, ``-0.0``, escaped non-ASCII) and the edge-list
-shape that the writer renders through a template.
+owns (``1e-09``, ``NaN``, ``-0.0``, escaped non-ASCII), and on the
+reports' edge blocks, which it renders straight from a graph's rows.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import combinations
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qlanroute.cli import _dumps
+from qlanroute.errors import ValidationError
+from qlanroute.graph import EdgeRows, InterQlanGraph, client, edges_as_names, graph_to_json, super_node
+from qlanroute.switching import AugmentationCase, AugmentedGraph, records_to_json, run_pipeline
 
 
 def reference(obj) -> str:
@@ -74,3 +78,74 @@ def test_writer_rejects_what_the_encoder_rejects(obj):
         reference(obj)
     with pytest.raises(TypeError):
         _dumps(obj)
+
+
+# -- edge blocks rendered from rows ----------------------------------------------
+
+
+@st.composite
+def report_graphs(draw, supers: bool = True, min_clients: int = 0) -> InterQlanGraph:
+    """Graphs ``graph_to_json`` serializes: clients 1..n per QLAN, either
+    super-node or none, and an empty, single, dense or random edge set."""
+    n1 = draw(st.integers(min_clients, 7))
+    n2 = draw(st.integers(min_clients, 7))
+    order = [client(1, i) for i in range(1, n1 + 1)] + [client(2, j) for j in range(1, n2 + 1)]
+    order += [super_node(q) for q in (1, 2) if supers and draw(st.booleans())]
+    pairs = list(combinations(order, 2))
+    shape = draw(st.sampled_from(["empty", "single", "dense", "random"]))
+    if shape == "empty" or not pairs:
+        edges = []
+    elif shape == "single":
+        edges = [draw(st.sampled_from(pairs))]
+    elif shape == "dense":
+        edges = pairs
+    else:
+        edges = [p for p in pairs if draw(st.booleans())]
+    return InterQlanGraph(order, edges)
+
+
+def as_lists(obj):
+    """``obj`` with every EdgeRows replaced by the name-pair list it stands for."""
+    if isinstance(obj, EdgeRows):
+        return edges_as_names(obj.graph, obj.mask)
+    if isinstance(obj, dict):
+        return {k: as_lists(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [as_lists(x) for x in obj]
+    return obj
+
+
+@settings(max_examples=200, deadline=None)
+@given(report_graphs())
+def test_result_graph_edge_blocks_render_as_the_encoder_would(g):
+    data = graph_to_json(g)
+    assert _dumps(data) == reference(as_lists(data))
+    assert data == graph_to_json(g) == as_lists(data) and as_lists(data) == data
+    for block in (data["edges"], data["super_edges"]):
+        names = edges_as_names(block.graph, block.mask)
+        assert list(block) == names and block == names and not block != names
+        assert all(pair in block for pair in names)
+    assert (data["edges"] == data["super_edges"]) == (as_lists(data["edges"]) == as_lists(data["super_edges"]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(report_graphs(supers=False, min_clients=1), st.sampled_from(AugmentationCase), st.data())
+def test_trace_edge_blocks_render_as_the_encoder_would(g, case, data):
+    # pre and post snapshots carry super-nodes and the intra-QLAN edges that
+    # local complementation makes; the retained clients come from the drawn graph
+    retained = data.draw(st.sets(st.sampled_from(g.order), max_size=max(0, len(g.order) - 2)))
+    try:
+        _, records = run_pipeline(AugmentedGraph(g, case, retained))
+    except ValidationError:  # every eligible k0 is retained: no trace
+        assume(False)
+    trace = records_to_json(records)
+    assert _dumps(trace) == reference(as_lists(trace))
+
+
+@settings(max_examples=100, deadline=None)
+@given(report_graphs(), st.integers(-1, 2**9), st.lists(st.sampled_from(["list", "dict"]), max_size=4))
+def test_an_edge_block_renders_at_any_depth(g, mask, wrappers):
+    obj = EdgeRows(g, mask)
+    for kind in wrappers:
+        obj = [obj, 1] if kind == "list" else {"edges": obj, "n": None}
+    assert _dumps(obj) == reference(as_lists(obj))

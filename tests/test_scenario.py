@@ -10,6 +10,7 @@ from qlanroute.errors import ValidationError
 from qlanroute.graph import client, complement_graph
 from qlanroute.scenario import (
     Scenario,
+    _roster,
     bundled_scenario_names,
     load_bundled_scenario,
     load_scenario,
@@ -71,6 +72,41 @@ def test_parse_rejects_bad_fields(patch, needle):
         parse_scenario(data)
 
 
+@pytest.mark.parametrize(
+    "patch, message",
+    [
+        ({"inter_links": [["1.1", "2.2"], ["2.1"]]}, "field 'inter_links[1]' must be a 2-item pair, got ['2.1']"),
+        ({"inter_links": [["1.1", "2.2"], "12"]}, "field 'inter_links[1]' must be a 2-item pair, got '12'"),
+        ({"inter_links": [["1.1", "2.2"], ["2.1", "2.2"]]}, "field 'inter_links' (2.1, 2.2) stays inside one QLAN"),
+        ({"inter_links": [["2.1", "1.1"], ["1.2", "2.9"]]}, "field 'inter_links' names unknown client '2.9'"),
+        ({"inter_links": [[["1.1"], "2.1"]]}, "field 'inter_links' names unknown client \"['1.1']\""),
+        ({"physical_links": [["1.1", "1.2"], ["2.1", 7]]}, "field 'physical_links' names unknown client '7'"),
+        ({"requests": [["1.1", "2.1"], ["1.2", "1.1"]]},
+         "field 'requests[1]' (1.2, 1.1) must run from a QLAN 1 source to a QLAN 2 destination"),
+        ({"requests": [["1.1", "2.1"], ["1.2", "s2"]]}, "field 'requests[1]' names unknown client in (1.2, s2)"),
+        ({"retain": ["2.2", "1.3"]}, "field 'retain' names unknown client '1.3'"),
+        ({"comm_qubits": {"1.2": 3, "2.3": 1}}, "field 'comm_qubits' names unknown node '2.3'"),
+    ],
+)
+def test_a_single_fault_names_its_field_and_first_offender(patch, message):
+    data = dict(GOOD)
+    data.update(patch)
+    with pytest.raises(ValidationError) as err:
+        parse_scenario(data)
+    assert str(err.value) == "scenario: " + message
+
+
+def test_parse_keeps_reversed_inter_links_and_stringifies_names():
+    # neither passes the bulk check, so both take the pair-by-pair walk
+    data = dict(GOOD, inter_links=[["2.2", "1.1"], ["1.2", "2.1"]], physical_links=[[1.1, "1.2"]])
+    sc = parse_scenario(data)
+    assert sc.inter_links == (("2.2", "1.1"), ("1.2", "2.1"))
+    assert sc.physical_links == (("1.1", "1.2"),)
+    g = scenario_graph(sc)
+    assert g.has_edge(client(1, 1), client(2, 2)) and g.has_edge(client(1, 2), client(2, 1))
+    assert g.edge_count == 2
+
+
 def test_load_scenario_reports_json_line_context(tmp_path):
     bad = tmp_path / "broken.json"
     bad.write_text('{\n  "qlan1": 2,\n  "qlan2": oops\n}\n')
@@ -120,6 +156,14 @@ def test_scenario_graph_rejects_an_inter_link_that_does_not_join_both_qlans(link
     sc = Scenario(n1=2, n2=2, inter_links=(link,))
     with pytest.raises(ValidationError, match="does not join"):
         scenario_graph(sc)
+
+
+def test_the_shared_client_table_is_read_only():
+    # one table per size serves every parse and scenario_graph call of that size
+    with pytest.raises(TypeError):
+        _roster(2, 2).position["2.3"] = 4
+    with pytest.raises(ValidationError, match="does not join"):
+        scenario_graph(Scenario(n1=2, n2=2, inter_links=(("1.1", "2.3"),)))
 
 
 def test_random_scenario_is_seed_deterministic():
