@@ -10,9 +10,11 @@ file or over a directory, is a validation failure and leaves none of the
 run's reports and no temporary file. Every JSON report goes through one
 stdlib writer, ``_dumps``, whose bytes equal
 ``json.dumps(obj, indent=2, sort_keys=True)``; it renders the graph
-reports' edge blocks straight from the adjacency rows. ``--help`` and
-``--version`` print with ``print``, so an in-process caller's output
-stream is not kept alive.
+reports' edge blocks straight from the adjacency rows. ``--help``,
+``--version`` and the help shown for no arguments (on stderr, exit 2)
+print with ``print``, so an in-process caller's output stream is not kept
+alive. Only ``verify`` and ``complement --oracle`` load numpy: the oracle
+imports it inside the functions that build amplitudes.
 """
 
 from __future__ import annotations
@@ -268,6 +270,13 @@ class _Command(_PrintedHelp, click.Command):
 
 class _Group(_PrintedHelp, click.Group):
     command_class = _Command
+
+    def parse_args(self, ctx: click.Context, args: list[str]) -> list[str]:
+        # no arguments: click would raise NoArgsIsHelpError, which echoes too
+        if not args and self.no_args_is_help and not ctx.resilient_parsing:
+            print(ctx.get_help(), file=sys.stderr)
+            ctx.exit(2)
+        return super().parse_args(ctx, args)
 
 
 @click.group(cls=_Group)

@@ -33,6 +33,10 @@ copy in place; a Y rotation replaces both halves by their sum and
 difference and scales by 1/sqrt(2). A graph state is built from the
 adjacency rows by doubling once per qubit, without a pass per edge.
 
+numpy is imported inside the functions that build or transform
+amplitudes, not at module level: the CLI imports this module for every
+command, and only ``verify`` and ``complement --oracle`` run the oracle.
+
 Correction table
 ----------------
 After an X measurement on vertex a with special neighbor k0, with
@@ -60,13 +64,14 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import CapacityError, InternalAssertionError, UnknownVertexError, ValidationError
 from .graph import InterQlanGraph, LabeledVertex, bit_indices
 from .switching import MeasurementRecord, measure_x
+
+if TYPE_CHECKING:
+    import numpy as np
 
 MAX_QUBITS = 14
 NORM_TOL = 1e-10
@@ -82,6 +87,8 @@ class QuantumState:
     _axis: dict[LabeledVertex, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        import numpy as np
+
         amps = np.asarray(self.amplitudes, dtype=complex)
         object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "qubit_order", tuple(self.qubit_order))
@@ -122,6 +129,8 @@ def prepare_graph_state(g: InterQlanGraph) -> QuantumState:
     neighbor of ``k`` set in the index, read from a table of
     ``(-1)**popcount``.
     """
+    import numpy as np
+
     n = len(g.order)
     if n > MAX_QUBITS:
         raise CapacityError(
@@ -154,6 +163,8 @@ def project_x(state: QuantumState, v: LabeledVertex, outcome: int) -> QuantumSta
     ``h = t[:, 0] + outcome * t[:, 1]``: the measured qubit sits in a
     product |+> or |-> and is factored out, leaving ``h`` normalised.
     """
+    import numpy as np
+
     if outcome not in (+1, -1):
         raise ValidationError(f"forced outcome must be +1 or -1, got {outcome}")
     axis = state.qubit_index(v)
@@ -211,6 +222,8 @@ def apply_x_corrections(
     graph state of the X-measurement graph rule applied to ``g_pre`` at
     ``v`` with special neighbor ``k0``, up to global phase.
     """
+    import numpy as np
+
     amps = state.amplitudes.copy()
     for kind, target in ops:
         t = amps.reshape(1 << state.qubit_index(target), 2, -1)
@@ -230,6 +243,8 @@ def apply_x_corrections(
 
 def fidelity(a: QuantumState, b: QuantumState) -> float:
     """|<a|b>| with ``b`` aligned to ``a``'s qubit order."""
+    import numpy as np
+
     if a.n != b.n:
         raise ValidationError(f"dimension mismatch: {a.n} vs {b.n} qubits")
     if set(a.qubit_order) != set(b.qubit_order):

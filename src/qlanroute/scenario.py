@@ -32,7 +32,6 @@ import functools
 import json
 import random
 from dataclasses import dataclass, field
-from importlib import resources
 from itertools import chain
 from pathlib import Path
 from types import MappingProxyType
@@ -335,11 +334,15 @@ def random_scenario(seed: int, n1: int = 3, n2: int = 4) -> Scenario:
 
 
 def bundled_scenario_names() -> tuple[str, ...]:
+    from importlib import resources
+
     pkg = resources.files("qlanroute.scenarios")
     return tuple(sorted(p.name[: -len(".json")] for p in pkg.iterdir() if p.name.endswith(".json")))
 
 
 def load_bundled_scenario(name: str) -> Scenario:
+    from importlib import resources
+
     pkg = resources.files("qlanroute.scenarios")
     candidate = pkg / f"{name}.json"
     if not candidate.is_file():

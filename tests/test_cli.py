@@ -6,13 +6,18 @@ import contextlib
 import gc
 import io
 import json
+import os
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import qlanroute
 from qlanroute import __version__
 from qlanroute.cli import main
 from qlanroute.graph import complement_graph, graph_from_json
@@ -299,6 +304,7 @@ def test_in_process_calls_do_not_keep_their_output_streams(tmp_path):
         (["--version"], 0),
         (["--help"], 0),
         (["complement", "--help"], 0),
+        ([], 2),
     ]
     refs = []
     for argv, expected in calls:
@@ -307,6 +313,56 @@ def test_in_process_calls_do_not_keep_their_output_streams(tmp_path):
         refs.append(ref)
     gc.collect()
     assert [ref() is None for ref in refs] == [True] * len(calls)
+
+
+def test_no_arguments_print_the_group_help_on_stderr(runner):
+    result = invoke(runner)
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith("Usage: main [OPTIONS] COMMAND [ARGS]...\n\n  Graph-complement")
+
+
+# -- import boundary ------------------------------------------------------------
+
+# Runs in a fresh interpreter, since this test process has numpy loaded: a
+# module name is imported, an argv list is one in-process CLI call. Prints
+# the call's exit code (null for an import) and whether numpy got loaded.
+_IMPORT_PROBE = """
+import contextlib, io, json, sys
+target = json.loads(sys.argv[1])
+code = None
+if isinstance(target, str):
+    __import__(target)
+else:
+    from qlanroute.cli import main
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            main(target, prog_name="qlanroute")
+        except SystemExit as exc:
+            code = exc.code
+print(json.dumps([code, "numpy" in sys.modules]))
+"""
+
+
+@pytest.mark.parametrize("target, code, loads_numpy", [
+    ("qlanroute", None, False),
+    ("qlanroute.cli", None, False),
+    (["--help"], 0, False),
+    (["complement", "--scenario", "{scenario}", "--format", "csv", "--out", "{out}"], 0, False),
+    (["compare", "--scenario", "{scenario}", "--out", "{out}"], 0, False),
+    (["sweep", "--count", "3", "--out", "{out}"], 0, False),
+    (["verify", "--scenario", "{scenario}", "--out", "{out}"], 0, True),
+    (["complement", "--scenario", "{scenario}", "--oracle", "--out", "{out}"], 0, True),
+], ids=["import", "import-cli", "help", "complement", "compare", "sweep", "verify", "oracle"])
+def test_only_the_oracle_commands_load_numpy(tmp_path, target, code, loads_numpy):
+    if isinstance(target, list):
+        scenario = write_scenario(tmp_path)
+        target = [a.format(scenario=scenario, out=tmp_path / "out") for a in target]
+    src = str(Path(qlanroute.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    probe = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, json.dumps(target)],
+                           capture_output=True, text=True, env=env, check=True)
+    assert json.loads(probe.stdout) == [code, loads_numpy]
 
 
 # -- report writing -------------------------------------------------------------

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import ast
+import inspect
 import random
+import typing
 from collections import Counter
 
 import numpy as np
@@ -299,6 +302,21 @@ def test_quantum_state_validates_norm_and_order():
         QuantumState(np.array([1.0, 0, 0]), (client(1, 1),))
     with pytest.raises(UnknownVertexError):
         prepare_graph_state(client_graph(1, 1)).qubit_index(client(2, 9))
+
+
+def test_annotations_name_numpy_without_a_runtime_np_global():
+    # numpy is imported inside the functions that use it; a type checker
+    # reads ``np`` from the TYPE_CHECKING import, and no module global
+    # ``np`` is left for later code to use without importing it
+    assert not hasattr(oracle, "np")
+    guarded = [stmt for node in ast.parse(inspect.getsource(oracle)).body
+               if isinstance(node, ast.If) and getattr(node.test, "id", None) == "TYPE_CHECKING"
+               for stmt in node.body]
+    assert [(a.name, a.asname) for stmt in guarded for a in stmt.names] == [("numpy", "np")]
+    type_checking_ns = {**vars(oracle), "np": np}
+    hints = typing.get_type_hints(QuantumState, globalns=type_checking_ns)
+    assert hints["amplitudes"] is np.ndarray
+    assert typing.get_type_hints(QuantumState.tensor, globalns=type_checking_ns)["return"] is np.ndarray
 
 
 # -- pipeline verification -------------------------------------------------------
