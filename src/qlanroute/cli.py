@@ -235,9 +235,13 @@ retain_option = click.option("--retain", default=None,
                              help="Comma-separated client names to exclude from the switch.")
 k0_option = click.option("--k0", "k0_name", default=None,
                          help="Special-neighbor client name (default: lowest-index eligible).")
-format_option = click.option("--format", "fmt", type=click.Choice(["json", "csv", "dot"]),
-                             default="json", show_default=True,
-                             help="Extra artifact format; JSON reports are always written.")
+
+
+def format_option(*choices: str):
+    return click.option("--format", "fmt", type=click.Choice(choices), default="json",
+                        show_default=True, help="Extra artifact format; JSON reports are always written.")
+
+
 normalize_option = click.option("--normalize", is_flag=True,
                                 help="Blank wall-clock fields so reports are byte-reproducible.")
 
@@ -293,7 +297,7 @@ def main() -> None:
 @case_option
 @retain_option
 @k0_option
-@format_option
+@format_option("json", "csv", "dot")
 @click.option("--oracle", is_flag=True, help="Also certify the run with the state-vector oracle.")
 @_guarded
 def cmd_complement(scenario_ref, out_dir, seed, case, retain, k0_name, fmt, oracle):
@@ -384,21 +388,14 @@ def cmd_verify(scenario_ref, out_dir, seed, case, retain, k0_name, normalize, co
 @seed_option
 @case_option
 @retain_option
-@format_option
+@format_option("json", "csv")
 @normalize_option
 @_guarded
 def cmd_compare(scenario_ref, out_dir, seed, case, retain, fmt, normalize):
     """Run both strategies on one scenario and write the side-by-side report."""
     sc = _apply_overrides(_resolve_scenario(scenario_ref), case, retain, seed)
     t0 = time.perf_counter()
-    report = compare_strategies(
-        scenario_topology(sc),
-        scenario_graph(sc),
-        scenario_requests(sc),
-        case=sc.augmentation_case,
-        retain=retained_vertices(sc),
-        run_when_empty=sc.run_when_empty,
-    )
+    report = _compare(sc)
     wall = time.perf_counter() - t0
     payload = report.to_json()
     payload["scenario"] = sc.name or scenario_ref
@@ -422,12 +419,16 @@ def cmd_compare(scenario_ref, out_dir, seed, case, retain, fmt, normalize):
     print(f"report written to {out / 'comparison.json'}")
 
 
-_SWEEP_COLUMNS = [
-    "index", "seed", "n1", "n2", "inter_links", "requests",
-    "tqr_rounds", "tqr_swaps", "tqr_served", "tqr_failed",
-    "complement_rounds", "complement_measurements", "complement_served", "complement_failed",
-    "rounds_ratio",
-]
+def _compare(sc: Scenario):
+    """Both strategies on one scenario, built from its own fields."""
+    return compare_strategies(
+        scenario_topology(sc),
+        scenario_graph(sc),
+        scenario_requests(sc),
+        case=sc.augmentation_case,
+        retain=retained_vertices(sc),
+        run_when_empty=sc.run_when_empty,
+    )
 
 
 def _sweep_row(index: int, seed: int, sc: Scenario, report) -> dict:
@@ -451,8 +452,9 @@ def _sweep_row(index: int, seed: int, sc: Scenario, report) -> dict:
 
 
 def _comparison_csv(rows: list[dict]) -> str:
+    """One CSV row per :func:`_sweep_row`, its keys in order as the header."""
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=_SWEEP_COLUMNS, lineterminator="\n")
+    writer = csv.DictWriter(buf, fieldnames=list(rows[0]), lineterminator="\n")
     writer.writeheader()
     writer.writerows(rows)
     return buf.getvalue()
@@ -478,12 +480,7 @@ def cmd_sweep(out_dir, count, seed, n1, n2, normalize):
     for i in range(count):
         sc_seed = rng.randrange(2**31)
         sc = random_scenario(sc_seed, n1=n1, n2=n2)
-        report = compare_strategies(
-            scenario_topology(sc),
-            scenario_graph(sc),
-            scenario_requests(sc),
-            case=sc.augmentation_case,
-        )
+        report = _compare(sc)
         rows.append(_sweep_row(i, sc_seed, sc, report))
         entry = report.to_json()
         entry["index"] = i

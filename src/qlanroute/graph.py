@@ -439,11 +439,6 @@ def upper_neighbors(g: InterQlanGraph, mask: int, items: Sequence) -> Iterator[t
             yield i, compress(items, bin(upper)[:1:-1].encode().translate(_BITS))
 
 
-def edge_indices(g: InterQlanGraph) -> list[tuple[int, int]]:
-    """Every edge as ``(i, j)`` positions with ``i < j``, in canonical edge order."""
-    return [(i, j) for i, js in upper_neighbors(g, -1, range(len(g.order))) for j in js]
-
-
 def edges_as_names(g: InterQlanGraph, mask: int = -1) -> list[list[str]]:
     """Edges as name pairs in canonical order; ``mask`` keeps those whose
     second endpoint is in it."""
@@ -506,28 +501,6 @@ def graph_to_json(g: InterQlanGraph) -> dict:
         "supers": {"s1": "s1" in supers, "s2": "s2" in supers},
         "super_edges": EdgeRows(g, ~clients),
     }
-
-
-def graph_from_json(data: dict) -> InterQlanGraph:
-    try:
-        n1, n2 = int(data["n1"]), int(data["n2"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"graph object needs integer 'n1' and 'n2' fields: {exc}") from None
-    vertices = {client(Qlan.Q1, i) for i in range(1, n1 + 1)}
-    vertices |= {client(Qlan.Q2, j) for j in range(1, n2 + 1)}
-    supers = data.get("supers", {})
-    for name, present in supers.items():
-        if name not in ("s1", "s2"):
-            raise ValidationError(f"unknown super-node key {name!r}")
-        if present:
-            vertices.add(vertex_from_name(name))
-    edges = set()
-    for pair in list(data.get("edges", [])) + list(data.get("super_edges", [])):
-        if len(pair) != 2:
-            raise ValidationError(f"edge entry {pair!r} must name exactly two vertices")
-        u, v = (vertex_from_name(n) for n in pair)
-        edges.add(make_edge(u, v))
-    return InterQlanGraph(frozenset(vertices), frozenset(edges))
 
 
 _DOT_STYLE = {

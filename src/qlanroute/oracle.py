@@ -11,17 +11,20 @@ Conventions
 * Qubit ``i`` of a prepared state is vertex ``g.order[i]``, the graph's
   canonical order (row-major by (qlan, index), super-nodes last), and the
   order is recorded on every state so amplitude vectors are comparable
-  across runs.
+  across runs. A projection drops one qubit and keeps the others in
+  order, so states over one vertex set share one qubit order:
+  :func:`fidelity` compares them as they are and rejects two orders.
 * ``amplitudes`` is a dense complex vector of length 2**n; qubit i owns
   axis i of the (2,)*n reshape, i.e. bit i counted from the most
   significant end.
 * Tolerances: 1e-10 for norms, 1e-9 for fidelity assertions. Double
   precision throughout. Capacity is capped at 14 qubits.
-* Outcomes are forced, never sampled: :func:`verify_pipeline` runs every
-  outcome branch, and :func:`project_x` builds only the branch it is
-  given. Branches share their measured prefix: the corrected state after
-  the first measurement feeds both branches that start with its outcome,
-  so the four branches of a switch take 6 projections, not 8.
+* Outcomes are forced, never sampled: :func:`verify_pipeline` walks the
+  whole outcome tree, one level per recorded measurement, and
+  :func:`project_x` builds only the branch it is given. Branches share
+  their first outcomes by construction: the corrected state after the
+  first measurement feeds both branches that start with its outcome, so
+  the four branches of a switch take 6 projections, not 8.
 
 Kernels
 -------
@@ -63,7 +66,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from itertools import product
 from typing import TYPE_CHECKING, Sequence
 
 from .errors import CapacityError, InternalAssertionError, UnknownVertexError, ValidationError
@@ -114,9 +116,6 @@ class QuantumState:
             return self._axis[v]
         except KeyError:
             raise UnknownVertexError(f"vertex {v.name} is not live in this state") from None
-
-    def tensor(self) -> np.ndarray:
-        return self.amplitudes.reshape((2,) * self.n)
 
 
 def prepare_graph_state(g: InterQlanGraph) -> QuantumState:
@@ -242,19 +241,20 @@ def apply_x_corrections(
 
 
 def fidelity(a: QuantumState, b: QuantumState) -> float:
-    """|<a|b>| with ``b`` aligned to ``a``'s qubit order."""
+    """|<a|b>| of two states over the same qubits in the same order.
+
+    Every state built from a graph has the graph's canonical qubit order,
+    so states over one vertex set are never permuted against each other.
+    """
     import numpy as np
 
     if a.n != b.n:
         raise ValidationError(f"dimension mismatch: {a.n} vs {b.n} qubits")
     if set(a.qubit_order) != set(b.qubit_order):
         raise ValidationError("states are over different vertex sets")
-    if a.qubit_order == b.qubit_order:
-        bt = b.amplitudes
-    else:
-        axes = [b.qubit_index(v) for v in a.qubit_order]
-        bt = np.transpose(b.tensor(), axes).reshape(-1)
-    return float(abs(np.vdot(a.amplitudes, bt)))
+    if a.qubit_order != b.qubit_order:
+        raise ValidationError("states order their qubits differently")
+    return float(abs(np.vdot(a.amplitudes, b.amplitudes)))
 
 
 # -- pipeline verification ----------------------------------------------
@@ -274,17 +274,27 @@ class BranchResult:
 
 @dataclass(frozen=True)
 class VerificationReport:
-    passed: bool
+    """Every outcome branch of one verification; the verdict is read from them."""
+
     branches: tuple[BranchResult, ...]
-    min_fidelity: float
-    max_fidelity: float
-    tolerance: float
     wall_time_s: float
+
+    @property
+    def passed(self) -> bool:
+        return all(b.passed for b in self.branches)
+
+    @property
+    def min_fidelity(self) -> float:
+        return min(b.fidelity for b in self.branches)
+
+    @property
+    def max_fidelity(self) -> float:
+        return max(b.fidelity for b in self.branches)
 
     def to_json(self, normalize: bool = False) -> dict:
         return {
             "passed": self.passed,
-            "tolerance": self.tolerance,
+            "tolerance": FIDELITY_TOL,
             "min_fidelity": self.min_fidelity,
             "max_fidelity": self.max_fidelity,
             "wall_time_s": None if normalize else self.wall_time_s,
@@ -327,50 +337,38 @@ def verify_pipeline(
     g: InterQlanGraph,
     pipeline: Sequence[MeasurementRecord],
     claimed: InterQlanGraph,
-    branches: Sequence[tuple[int, ...]] | None = None,
 ) -> VerificationReport:
     """Certify that a measurement pipeline really produces ``claimed``.
 
-    Prepares the graph state of ``g`` once and, from it, replays every
-    recorded measurement for each outcome combination (all 2**k by
-    default, or the ``branches`` subset), applies the byproduct
-    corrections, and compares against the graph state of ``claimed``.
-    Branches that agree on their first outcomes share those steps: each
-    corrected state a later measurement starts from is kept, for this call
-    only, by its outcome prefix, so two measurements take 6 projections,
-    not 8. Sharing is safe because every step returns a new array.
-    Success means every branch reaches fidelity 1 within 1e-9.
+    Prepares the graph state of ``g`` once and walks the outcome tree one
+    recorded measurement at a time: each state of a level is projected on
+    both outcomes and corrected, so the level after measurement ``k`` holds
+    the 2**(k+1) corrected states, ``+`` before ``-``. Branches share the
+    steps of their common first outcomes by construction, so two
+    measurements take 6 projections, not 8. Every leaf is compared against
+    the graph state of ``claimed``; success means every branch reaches
+    fidelity 1 within 1e-9.
     """
     if len(g.order) > MAX_QUBITS:
         raise CapacityError(
             f"{len(g.order)} qubits exceed the {MAX_QUBITS}-qubit capacity; use a smaller graph"
         )
     replay_records(g, pipeline)
-    if branches is None:
-        branches = list(product((+1, -1), repeat=len(pipeline)))
     t0 = time.perf_counter()
     target = prepare_graph_state(claimed)
-    states = {(): prepare_graph_state(g)}  # corrected state by outcome prefix
     # the byproducts depend only on (measurement, outcome): evaluate each once
     byproducts = {}
     for k, r in enumerate(pipeline):
         for s in (+1, -1):
             ops = x_correction_ops(r.pre_graph, r.measured_vertex, r.special_neighbor, s)
             byproducts[k, s] = ops, f"{r.measured_vertex.name}:{s:+d} -> {describe_corrections(ops)}"
+    level = [((), prepare_graph_state(g))]  # (outcomes so far, corrected state)
+    for k, r in enumerate(pipeline):
+        v = r.measured_vertex
+        level = [(combo + (s,), apply_x_corrections(project_x(state, v, s), byproducts[k, s][0]))
+                 for combo, state in level for s in (+1, -1)]
     results = []
-    for combo in branches:
-        if len(combo) != len(pipeline):
-            raise ValidationError(
-                f"branch {combo} does not assign one outcome per measurement"
-            )
-        combo = tuple(combo)
-        for k, (record, outcome) in enumerate(zip(pipeline, combo)):
-            state = states.get(combo[:k + 1])
-            if state is None:
-                state = project_x(states[combo[:k]], record.measured_vertex, outcome)
-                state = apply_x_corrections(state, byproducts[k, outcome][0])
-                if k + 1 < len(pipeline):  # a whole branch is no other branch's prefix
-                    states[combo[:k + 1]] = state
+    for combo, state in level:
         f = fidelity(state, target)
         results.append(
             BranchResult(
@@ -380,12 +378,4 @@ def verify_pipeline(
                 corrections=tuple(byproducts[k, s][1] for k, s in enumerate(combo)),
             )
         )
-    fids = [b.fidelity for b in results]
-    return VerificationReport(
-        passed=all(b.passed for b in results),
-        branches=tuple(results),
-        min_fidelity=min(fids),
-        max_fidelity=max(fids),
-        tolerance=FIDELITY_TOL,
-        wall_time_s=time.perf_counter() - t0,
-    )
+    return VerificationReport(tuple(results), wall_time_s=time.perf_counter() - t0)

@@ -217,20 +217,18 @@ def run_tqr(topo: PhysicalTopology, reqs: RequestSet) -> RoutingReport:
         ruled_out = 0
         for n, _, _ in need:
             ruled_out |= full[n]
-        r = -1
-        while r < len(loads):
+        # only existing rounds are ruled out, so the scan stops at the
+        # latest at the fresh round, which is empty and so always has room:
+        # 0 + d <= max(cap, d) with every budget at least 1
+        while True:
             r = ((ruled_out + 1) & ~ruled_out).bit_length() - 1  # lowest round not ruled out
-            load = loads[r] if r < len(loads) else {}
-            if all(load.get(n, 0) + d <= limit for n, d, limit in need):
+            if r == len(loads):
+                loads.append({})
+                break
+            if all(loads[r].get(n, 0) + d <= limit for n, d, limit in need):
                 break
             ruled_out |= 1 << r  # a node with a budget of 2 or more is short
-        else:
-            # not even a fresh round has room: unreachable under the
-            # time-sharing rule, but without this guard the scan would not end
-            failed.append((i, "insufficient communication qubits"))
-            continue
-        if r == len(loads):
-            loads.append(load)
+        load = loads[r]
         for n, d, _ in need:
             used = load[n] = load.get(n, 0) + d
             if used >= cap[n]:

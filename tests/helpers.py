@@ -16,7 +16,6 @@ from qlanroute.graph import (
     client,
     client_graph,
     complement_graph,
-    edge_indices,
     edges_as_names,
     make_edge,
     neighbors,
@@ -110,10 +109,15 @@ def random_states(draw, max_qubits: int = 10) -> QuantumState:
 # -- independent references ----------------------------------------------------
 
 
+def tensor(state: QuantumState) -> np.ndarray:
+    """The amplitudes as a (2,)*n tensor, qubit i on axis i."""
+    return state.amplitudes.reshape((2,) * state.n)
+
+
 def apply_pauli(state: QuantumState, kind: str, v: LabeledVertex) -> QuantumState:
     """Apply a single-qubit Pauli (kind 'X' or 'Z') to vertex v."""
     axis = state.qubit_index(v)
-    t = state.tensor()
+    t = tensor(state)
     if kind == "Z":
         t = t.copy()
         idx: list = [slice(None)] * t.ndim
@@ -130,7 +134,8 @@ def reference_prepare_graph_state(g: InterQlanGraph) -> QuantumState:
     """|+>^n on the (2,)*n tensor, then one strided sign flip per edge (CZ)."""
     n = len(g.order)
     psi = np.full((2,) * n, 2 ** (-n / 2), dtype=complex)
-    for (i, j) in edge_indices(g):
+    edges = [(i, j) for i, row in enumerate(g.rows) for j in range(i + 1, n) if row >> j & 1]
+    for (i, j) in edges:
         idx: list = [slice(None)] * n
         idx[i] = 1
         idx[j] = 1
@@ -142,7 +147,7 @@ def reference_project_x(state: QuantumState, v: LabeledVertex, outcome: int) -> 
     """The whole branch ``(t + outcome * X_v t) / 2`` built with ``np.flip``,
     renormalised, with the measured qubit's 0 slice kept."""
     axis = state.qubit_index(v)
-    t = state.tensor()
+    t = tensor(state)
     flipped = np.flip(t, axis=axis)
     branch = (t + flipped if outcome == +1 else t - flipped) / 2
     idx: list = [slice(None)] * branch.ndim
@@ -165,7 +170,7 @@ def reference_apply_x_corrections(state: QuantumState, ops) -> QuantumState:
             state = apply_pauli(state, "Z", target)
         else:
             axis = state.qubit_index(target)
-            t = np.tensordot(_REFERENCE_ROTATIONS[kind], state.tensor(), axes=([1], [axis]))
+            t = np.tensordot(_REFERENCE_ROTATIONS[kind], tensor(state), axes=([1], [axis]))
             state = QuantumState(np.moveaxis(t, 0, axis).reshape(-1), state.qubit_order)
     return state
 

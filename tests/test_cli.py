@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 import qlanroute
 from qlanroute import __version__
 from qlanroute.cli import main
-from qlanroute.graph import complement_graph, graph_from_json
+from qlanroute.graph import complement_graph, graph_to_json
 from qlanroute.scenario import load_bundled_scenario, scenario_graph
 
 
@@ -66,9 +66,9 @@ def write_scenario(tmp_path, name="sc.json", **overrides):
 def test_complement_fig2_matches_declarative_reference(runner, tmp_path):
     result = invoke(runner, "complement", "--scenario", "fig2", "--out", tmp_path)
     assert result.exit_code == 0, result.output
-    produced = graph_from_json(json.loads((tmp_path / "result_graph.json").read_text()))
+    produced = json.loads((tmp_path / "result_graph.json").read_text())
     reference = complement_graph(scenario_graph(load_bundled_scenario("fig2")))
-    assert produced == reference
+    assert produced == graph_to_json(reference)
     trace = json.loads((tmp_path / "trace.json").read_text())
     assert [t["measured"] for t in trace] == ["s2", "s1"]
     summary = json.loads((tmp_path / "summary.json").read_text())
@@ -226,6 +226,14 @@ def test_compare_csv_artifact(runner, tmp_path):
     lines = (tmp_path / "comparison.csv").read_text().splitlines()
     assert lines[0].startswith("index,seed,n1,n2")
     assert len(lines) == 2
+
+
+def test_compare_rejects_the_dot_format_as_a_usage_error(runner, tmp_path):
+    # compare has no graph to draw: dot is a complement format only
+    result = invoke(runner, "compare", "--scenario", "fig1", "--out", tmp_path, "--format", "dot")
+    assert result.exit_code == 2
+    assert "Invalid value for '--format'" in result.stderr
+    assert not any(tmp_path.iterdir())
 
 
 # -- sweep ----------------------------------------------------------------------

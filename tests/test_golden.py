@@ -28,13 +28,13 @@ from qlanroute.cli import main
 FIXTURE = Path(__file__).with_name("golden_digests.json")
 
 
-def _write_case_ii_scenario(work: Path) -> Path:
-    """A seeded 16+16 network, random inter-links at p = 0.5."""
-    rng = random.Random(16)
-    links = [[f"1.{i}", f"2.{j}"] for i in range(1, 17) for j in range(1, 17) if rng.random() < 0.5]
-    path = work / "golden16.json"
-    path.write_text(json.dumps({"name": "golden-16", "qlan1": 16, "qlan2": 16,
-                                "inter_links": links, "case": "I", "seed": 16}))
+def _write_seeded_scenario(work: Path, n: int) -> Path:
+    """A seeded n+n network, random inter-links at p = 0.5, seeded by n."""
+    rng = random.Random(n)
+    links = [[f"1.{i}", f"2.{j}"] for i in range(1, n + 1) for j in range(1, n + 1) if rng.random() < 0.5]
+    path = work / f"golden{n}.json"
+    path.write_text(json.dumps({"name": f"golden-{n}", "qlan1": n, "qlan2": n,
+                                "inter_links": links, "case": "I", "seed": n}))
     return path
 
 
@@ -46,8 +46,13 @@ CASES = {
     "compare-fig1-csv": lambda work: ["compare", "--scenario", "fig1", "--format", "csv", "--normalize"],
     "complement-fig2-csv": lambda work: ["complement", "--scenario", "fig2", "--format", "csv"],
     "complement-16-case-ii-retain": lambda work: [
-        "complement", "--scenario", str(_write_case_ii_scenario(work)),
+        "complement", "--scenario", str(_write_seeded_scenario(work, 16)),
         "--case", "II", "--retain", "1.3,1.9,2.4",
+    ],
+    # 6+6 clients and two super-nodes: 14 qubits, the dense oracle's capacity
+    "verify-6-case-i-retain": lambda work: [
+        "verify", "--scenario", str(_write_seeded_scenario(work, 6)),
+        "--retain", "1.2,2.5", "--normalize",
     ],
 }
 

@@ -23,7 +23,6 @@ from qlanroute.graph import (
     Role,
     complement_graph,
     delete_vertex,
-    edge_indices,
     edges_as_names,
     graph_to_json,
     local_complement,
@@ -130,7 +129,6 @@ def test_core_matches_the_name_pair_reference(g):
 def test_views_and_export_follow_canonical_order(g):
     assert list(g.order) == sorted(frozenset(g.order), key=vertex_sort_key)
     canonical = sorted(g.edges, key=lambda e: (vertex_sort_key(e[0]), vertex_sort_key(e[1])))
-    assert [(g.order[i], g.order[j]) for i, j in edge_indices(g)] == canonical
     assert edges_as_names(g) == [[u.name, v.name] for (u, v) in canonical]
     assert g.edge_count == len(g.edges)
     assert InterQlanGraph(frozenset(g.order), g.edges) == g
