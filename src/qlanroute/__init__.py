@@ -6,7 +6,8 @@ augment the inter-QLAN graph state with two super-nodes, X-measure them,
 and every remote client pair becomes adjacent at once. A dense
 state-vector oracle certifies each graph-level step, and a routing
 simulator quantifies the strategy against the traditional
-swap-along-a-path baseline.
+swap-along-a-path baseline. The routing and scenario API is imported from
+:mod:`qlanroute.routing` and :mod:`qlanroute.scenario`.
 """
 
 __version__ = "0.1.0"
@@ -20,6 +21,4 @@ from .errors import (
 )
 from .graph import client_graph
 from .oracle import replay_records, verify_pipeline
-from .routing import compare, execute_complement, run_tqr
-from .scenario import load_scenario, scenario_graph, scenario_requests, scenario_topology
 from .switching import augment_case1, augment_case2, run_pipeline

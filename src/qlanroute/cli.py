@@ -198,7 +198,7 @@ def _resolve_scenario(ref: str) -> Scenario:
     raise ValidationError(f"scenario file {ref!r} does not exist")
 
 
-def _apply_overrides(sc: Scenario, case: str | None, retain: str | None, seed: int | None) -> Scenario:
+def _apply_overrides(sc: Scenario, case: str | None, retain: str | None, seed: int | None = None) -> Scenario:
     updates = {}
     if case is not None:
         updates["case"] = case
@@ -209,13 +209,12 @@ def _apply_overrides(sc: Scenario, case: str | None, retain: str | None, seed: i
     return replace(sc, **updates) if updates else sc
 
 
-def _switch(scenario_ref: str, seed: int | None, case: str | None, retain: str | None,
-            k0_name: str | None):
+def _switch(scenario_ref: str, case: str | None, retain: str | None, k0_name: str | None):
     """Resolve the scenario, apply the overrides, augment its graph and run the switch.
 
     Returns ``(scenario, client graph, augmented graph, final graph, records)``.
     """
-    sc = _apply_overrides(_resolve_scenario(scenario_ref), case, retain, seed)
+    sc = _apply_overrides(_resolve_scenario(scenario_ref), case, retain)
     g = scenario_graph(sc)
     build = augment_case1 if sc.augmentation_case is AugmentationCase.CASE_I else augment_case2
     aug = build(g, retained_vertices(sc))
@@ -228,7 +227,6 @@ scenario_option = click.option("--scenario", "scenario_ref", required=True,
                                help="Scenario file path, or the name of a bundled scenario.")
 out_option = click.option("--out", "out_dir", default="out", show_default=True,
                           type=click.Path(file_okay=False), help="Output directory.")
-seed_option = click.option("--seed", type=int, default=None, help="Override the scenario seed.")
 case_option = click.option("--case", type=click.Choice(["I", "II"]), default=None,
                            help="Override the augmentation case.")
 retain_option = click.option("--retain", default=None,
@@ -293,16 +291,15 @@ def main() -> None:
 @main.command("complement")
 @scenario_option
 @out_option
-@seed_option
 @case_option
 @retain_option
 @k0_option
 @format_option("json", "csv", "dot")
 @click.option("--oracle", is_flag=True, help="Also certify the run with the state-vector oracle.")
 @_guarded
-def cmd_complement(scenario_ref, out_dir, seed, case, retain, k0_name, fmt, oracle):
+def cmd_complement(scenario_ref, out_dir, case, retain, k0_name, fmt, oracle):
     """Run the super-node measurement pipeline and write the switched graph."""
-    sc, g, aug, final, records = _switch(scenario_ref, seed, case, retain, k0_name)
+    sc, g, aug, final, records = _switch(scenario_ref, case, retain, k0_name)
     matches = None
     if not sc.retain:
         matches = final == complement_graph(g)
@@ -335,7 +332,8 @@ def cmd_complement(scenario_ref, out_dir, seed, case, retain, k0_name, fmt, orac
     reports["summary.json"] = _json_report(summary)
     if oracle:
         report = verify_pipeline(aug.graph, records, final)
-        reports["verification.json"] = _json_report(report.to_json())
+        # complement has no clock in its reports: the oracle's wall time is blanked
+        reports["verification.json"] = _json_report(report.to_json(normalize=True))
     out = Path(out_dir)
     _write_reports(out, reports)
     if oracle and not report.passed:
@@ -353,7 +351,6 @@ def cmd_complement(scenario_ref, out_dir, seed, case, retain, k0_name, fmt, orac
 @main.command("verify")
 @scenario_option
 @out_option
-@seed_option
 @case_option
 @retain_option
 @k0_option
@@ -361,9 +358,9 @@ def cmd_complement(scenario_ref, out_dir, seed, case, retain, k0_name, fmt, orac
 @click.option("--corrupt", is_flag=True,
               help="Negative control: toggle one edge in the claimed graph before verifying.")
 @_guarded
-def cmd_verify(scenario_ref, out_dir, seed, case, retain, k0_name, normalize, corrupt):
+def cmd_verify(scenario_ref, out_dir, case, retain, k0_name, normalize, corrupt):
     """Replay the pipeline on the state-vector oracle over every outcome branch."""
-    _, _, aug, final, records = _switch(scenario_ref, seed, case, retain, k0_name)
+    _, _, aug, final, records = _switch(scenario_ref, case, retain, k0_name)
     claimed = final
     if corrupt:  # toggle the edge between the first client of each QLAN
         rows, n1 = list(final.rows), final.n1
@@ -385,7 +382,7 @@ def cmd_verify(scenario_ref, out_dir, seed, case, retain, k0_name, normalize, co
 @main.command("compare")
 @scenario_option
 @out_option
-@seed_option
+@click.option("--seed", type=int, default=None, help="Override the scenario seed.")
 @case_option
 @retain_option
 @format_option("json", "csv")

@@ -22,7 +22,8 @@ a value backed by the rows, which the report writer renders without
 building the list of name pairs. Client graphs of one size share their
 vertex objects, made once.
 
-:class:`LabeledVertex` objects and their names appear only at the
+A :class:`LabeledVertex` is its ``(qlan, index)``, index 0 being the
+QLAN's one super-node. Vertex objects and their names appear only at the
 boundaries: the public constructor, lookups by vertex, and export. The
 transformations build their results straight from rows and skip
 re-validation, because their invariants hold by construction.
@@ -58,41 +59,33 @@ class Qlan(Enum):
         return Qlan.Q2 if self is Qlan.Q1 else Qlan.Q1
 
 
-class Role(Enum):
-    CLIENT = "client"
-    SUPER = "super"
-
-
 @dataclass(frozen=True, repr=False)
 class LabeledVertex:
-    """A network node tagged with its QLAN, an index and a role.
+    """A network node: its QLAN and its index there, which are its identity.
 
-    Client indices are 1-based to match the textual ``"1.3"`` naming.
-    Super-nodes added by augmentation use index 0. A QLAN holds at most
-    one super-node, so super names are simply ``"s1"`` and ``"s2"``. The name
-    and the hash are computed once, when the vertex is made.
+    Index 0 is the QLAN's super-node, named ``"s1"`` or ``"s2"``; client
+    indices are 1-based to match the textual ``"1.3"`` naming. The name and
+    the hash are computed once, when the vertex is made.
     """
 
     qlan: Qlan
     index: int
-    role: Role = Role.CLIENT
     name: str = field(init=False, compare=False)
     _hash: int = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.index < 0:
             raise ValidationError(f"vertex index must be non-negative, got {self.index}")
-        is_super = self.role is Role.SUPER
-        name = f"s{self.qlan.value}" if is_super else f"{self.qlan.value}.{self.index}"
+        name = f"{self.qlan.value}.{self.index}" if self.index else f"s{self.qlan.value}"
         object.__setattr__(self, "name", name)
-        object.__setattr__(self, "_hash", hash((is_super, self.qlan.value, self.index)))
+        object.__setattr__(self, "_hash", hash((self.qlan.value, self.index)))
 
     def __hash__(self) -> int:
         return self._hash
 
     @property
     def is_super(self) -> bool:
-        return self.role is Role.SUPER
+        return self.index == 0
 
     def __repr__(self) -> str:
         return self.name
@@ -100,7 +93,7 @@ class LabeledVertex:
 
 def vertex_sort_key(v: LabeledVertex) -> tuple[bool, int, int]:
     """Canonical ordering: clients row-major by (qlan, index), supers last."""
-    return (v.role is Role.SUPER, v.qlan.value, v.index)
+    return (v.index == 0, v.qlan.value, v.index)
 
 
 def client(qlan: int | Qlan, index: int) -> LabeledVertex:
@@ -108,12 +101,12 @@ def client(qlan: int | Qlan, index: int) -> LabeledVertex:
     q = qlan if isinstance(qlan, Qlan) else Qlan(qlan)
     if index < 1:
         raise ValidationError(f"client indices are 1-based, got {index}")
-    return LabeledVertex(q, index, Role.CLIENT)
+    return LabeledVertex(q, index)
 
 
-def super_node(qlan: int | Qlan, index: int = 0) -> LabeledVertex:
-    q = qlan if isinstance(qlan, Qlan) else Qlan(qlan)
-    return LabeledVertex(q, index, Role.SUPER)
+def super_node(qlan: int | Qlan) -> LabeledVertex:
+    """The super-node ``s<qlan>``: index 0 of its QLAN."""
+    return LabeledVertex(qlan if isinstance(qlan, Qlan) else Qlan(qlan), 0)
 
 
 def vertex_from_name(name: str) -> LabeledVertex:
@@ -161,9 +154,10 @@ class InterQlanGraph:
     frozenset view of the same edges, built on first use, of canonical
     ``(u, v)`` tuples ordered by vertex sort key.
 
-    The public constructor enforces structural sanity (endpoints present,
-    no self-loops, unique (qlan, index) positions, at most one super-node
-    per QLAN). Cross-QLAN-only linking is a boundary condition of the
+    The public constructor enforces structural sanity: endpoints present
+    and no self-loops. A vertex is its ``(qlan, index)``, so two vertices
+    never share a position and a QLAN has at most one super-node (index
+    0). Cross-QLAN-only linking is a boundary condition of the
     pipeline, not of the type, because local complementation legitimately
     creates intra-QLAN edges on intermediate graphs. Graphs are immutable;
     equality and hashing compare vertices and edges.
@@ -174,16 +168,6 @@ class InterQlanGraph:
     def __init__(self, vertices: Iterable[LabeledVertex], edges: Iterable[Edge]) -> None:
         canon = [make_edge(u, v) for (u, v) in edges]
         order = tuple(sorted(frozenset(vertices), key=vertex_sort_key))
-        positions: dict[tuple[Qlan, int], LabeledVertex] = {}
-        for v in order:
-            prev = positions.setdefault((v.qlan, v.index), v)
-            if prev != v:
-                raise ValidationError(
-                    f"vertices {prev.name} and {v.name} occupy the same (qlan, index) position"
-                )
-        for q in Qlan:
-            if sum(1 for v in order if v.qlan is q and v.is_super) > 1:
-                raise ValidationError(f"QLAN {q.value} has more than one super-node")
         pos = {v: i for i, v in enumerate(order)}
         rows = [0] * len(order)
         for (u, v) in canon:

@@ -320,15 +320,15 @@ def replay_records(g: InterQlanGraph, records: Sequence[MeasurementRecord]) -> I
     if not records:
         raise ValidationError("verification needs at least one measurement record")
     cur = g
-    for r in records:
+    for step, r in enumerate(records):
         if r.pre_graph != cur:
             raise ValidationError(
-                f"inconsistent records: step {r.step_index} does not start from the running graph"
+                f"inconsistent records: step {step} does not start from the running graph"
             )
-        cur, _ = measure_x(cur, r.measured_vertex, r.special_neighbor, r.step_index)
+        cur, _ = measure_x(cur, r.measured_vertex, r.special_neighbor)
         if cur != r.post_graph:
             raise ValidationError(
-                f"inconsistent records: step {r.step_index} post graph does not match the rule"
+                f"inconsistent records: step {step} post graph does not match the rule"
             )
     return cur
 

@@ -107,11 +107,11 @@ class AugmentedGraph:
 @dataclass(frozen=True)
 class MeasurementRecord:
     """One X measurement step: who was measured, with which k0, and the
-    graphs immediately before and after."""
+    graphs immediately before and after. A step is its position in the
+    pipeline's list of records."""
 
     measured_vertex: LabeledVertex
     special_neighbor: LabeledVertex
-    step_index: int
     pre_graph: InterQlanGraph
     post_graph: InterQlanGraph
 
@@ -137,12 +137,8 @@ def augment_case2(g: InterQlanGraph, retain: Iterable[LabeledVertex] = ()) -> Au
 # -- measurement -------------------------------------------------------
 
 
-def measure_x(
-    g: InterQlanGraph,
-    a: LabeledVertex,
-    k0: LabeledVertex,
-    step_index: int = 0,
-) -> tuple[InterQlanGraph, MeasurementRecord]:
+def measure_x(g: InterQlanGraph, a: LabeledVertex,
+              k0: LabeledVertex) -> tuple[InterQlanGraph, MeasurementRecord]:
     """X-measure vertex ``a`` using neighbor ``k0``: tau_k0(tau_a(tau_k0(g)) - a).
 
     Deterministic given (g, a, k0); the record captures the step for
@@ -156,7 +152,7 @@ def measure_x(
     h = local_complement(h, a)
     h = delete_vertex(h, a)
     post = local_complement(h, k0)
-    return post, MeasurementRecord(a, k0, step_index, g, post)
+    return post, MeasurementRecord(a, k0, g, post)
 
 
 def eligible_k0(aug: AugmentedGraph) -> tuple[LabeledVertex, ...]:
@@ -198,12 +194,12 @@ def run_pipeline(
             f"{'QLAN 1' if aug.case is AugmentationCase.CASE_I else 'QLAN 2'} client adjacent to s2"
         )
     s1, s2 = aug.s1, aug.s2
-    g1, rec1 = measure_x(aug.graph, s2, k0, step_index=0)
+    g1, rec1 = measure_x(aug.graph, s2, k0)
     if not g1.has_edge(s1, k0):
         raise InternalAssertionError(
             f"k0 {k0.name} should be adjacent to s1 after the first measurement; it is not"
         )
-    g2, rec2 = measure_x(g1, s1, k0, step_index=1)
+    g2, rec2 = measure_x(g1, s1, k0)
     if g2.supers():
         raise InternalAssertionError("pipeline output still contains a super-node")
     e = first_intra_qlan_edge(g2)
@@ -228,11 +224,11 @@ def records_to_json(records: Sequence[MeasurementRecord]) -> list[dict]:
     """Ordered trace of a pipeline run, for audit and replay."""
     return [
         {
-            "step": r.step_index,
+            "step": step,
             "measured": r.measured_vertex.name,
             "k0": r.special_neighbor.name,
             "pre": _graph_snapshot(r.pre_graph),
             "post": _graph_snapshot(r.post_graph),
         }
-        for r in records
+        for step, r in enumerate(records)
     ]

@@ -105,6 +105,18 @@ def test_complement_with_oracle_flag(runner, tmp_path):
     assert report["passed"] is True
 
 
+def test_complement_oracle_reports_are_byte_reproducible(runner, tmp_path):
+    # complement has no --normalize: its verification.json never holds a clock
+    texts = []
+    for run in ("a", "b"):
+        result = invoke(runner, "complement", "--scenario", "exhaustive_small",
+                        "--out", tmp_path / run, "--oracle")
+        assert result.exit_code == 0, result.output
+        texts.append({p.name: p.read_bytes() for p in (tmp_path / run).iterdir()})
+    assert texts[0] == texts[1]
+    assert json.loads(texts[0]["verification.json"])["wall_time_s"] is None
+
+
 def test_complement_retain_override_changes_result(runner, tmp_path):
     result = invoke(runner, "complement", "--scenario", "fig1", "--out", tmp_path,
                     "--retain", "1.2")
@@ -233,6 +245,16 @@ def test_compare_rejects_the_dot_format_as_a_usage_error(runner, tmp_path):
     result = invoke(runner, "compare", "--scenario", "fig1", "--out", tmp_path, "--format", "dot")
     assert result.exit_code == 2
     assert "Invalid value for '--format'" in result.stderr
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", ["complement", "verify"])
+def test_seed_is_a_usage_error_where_no_report_reads_it(runner, tmp_path, command):
+    # only compare (the scenario seed it reports) and sweep (the master seed) take --seed
+    result = invoke(runner, command, "--scenario", "exhaustive_small", "--out", tmp_path,
+                    "--seed", 3)
+    assert result.exit_code == 2
+    assert "No such option" in result.stderr and "--seed" in result.stderr
     assert not any(tmp_path.iterdir())
 
 

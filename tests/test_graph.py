@@ -14,7 +14,6 @@ from qlanroute.graph import (
     InterQlanGraph,
     LabeledVertex,
     Qlan,
-    Role,
     client,
     client_graph,
     complement_graph,
@@ -47,7 +46,15 @@ def test_vertex_names():
     assert client(1, 3).name == "1.3"
     assert client(Qlan.Q2, 1).name == "2.1"
     assert super_node(1).name == "s1"
-    assert super_node(2, index=5).name == "s2"  # promoted supers keep their index
+
+
+def test_a_vertex_is_its_qlan_and_index():
+    assert LabeledVertex(Qlan.Q1, 0) == super_node(1) and super_node(1).is_super
+    assert hash(LabeledVertex(Qlan.Q2, 0)) == hash(super_node(2))
+    assert not client(2, 1).is_super
+    # two objects of one (qlan, index) are one vertex: the graph keeps one
+    g = InterQlanGraph([super_node(1), LabeledVertex(Qlan.Q1, 0), client(1, 1)], [])
+    assert g.order == (client(1, 1), super_node(1))
 
 
 def test_vertex_from_name_round_trip():
@@ -70,18 +77,6 @@ def test_no_self_loops():
     v = client(1, 1)
     with pytest.raises(ValidationError):
         make_edge(v, v)
-
-
-def test_duplicate_position_rejected():
-    a = client(1, 2)
-    b = LabeledVertex(Qlan.Q1, 2, Role.SUPER)
-    with pytest.raises(ValidationError):
-        InterQlanGraph(frozenset({a, b}), frozenset())
-
-
-def test_two_supers_per_qlan_rejected():
-    with pytest.raises(ValidationError):
-        InterQlanGraph(frozenset({super_node(1), super_node(1, index=3)}), frozenset())
 
 
 def test_edge_needs_known_endpoints():

@@ -3,8 +3,7 @@
 The reference below knows nothing of rows, positions or LabeledVertex: a
 graph is a set of vertex names and a set of two-name frozensets, and each
 operation is written straight from its definition. Random graphs of at
-most 10 vertices, super-nodes (fresh or promoted) and intra-QLAN edges
-included, go through both.
+most 10 vertices, super-nodes and intra-QLAN edges included, go through both.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ from qlanroute.graph import (
     InterQlanGraph,
     LabeledVertex,
     Qlan,
-    Role,
     complement_graph,
     delete_vertex,
     edges_as_names,
@@ -73,9 +71,9 @@ def small_graphs(draw, max_vertices: int = 10) -> InterQlanGraph:
     n2 = draw(st.integers(0, 4))
     vertices = [LabeledVertex(Qlan.Q1, i) for i in range(1, n1 + 1)]
     vertices += [LabeledVertex(Qlan.Q2, j) for j in range(1, n2 + 1)]
-    for q, n in ((Qlan.Q1, n1), (Qlan.Q2, n2)):
-        if draw(st.booleans()):  # a fresh super (index 0) or a promoted one
-            vertices.append(LabeledVertex(q, draw(st.sampled_from([0, n + 1])), Role.SUPER))
+    for q in Qlan:
+        if draw(st.booleans()):  # the QLAN's super-node, index 0
+            vertices.append(LabeledVertex(q, 0))
     if not vertices:
         vertices.append(LabeledVertex(Qlan.Q2, 1))
     vertices = vertices[:max_vertices]
@@ -132,9 +130,10 @@ def test_views_and_export_follow_canonical_order(g):
     assert edges_as_names(g) == [[u.name, v.name] for (u, v) in canonical]
     assert g.edge_count == len(g.edges)
     assert InterQlanGraph(frozenset(g.order), g.edges) == g
-    for s in g.supers():  # same rows over a different super-node: a different graph
-        moved = LabeledVertex(s.qlan, 0 if s.index else 99, Role.SUPER)
-        swap = {s: moved}
+    for q in Qlan:  # same rows over a different vertex: a different graph
+        if not g.clients(q):
+            continue
+        swap = {g.clients(q)[-1]: LabeledVertex(q, 99)}  # stays last of its QLAN's clients
         h = InterQlanGraph([swap.get(v, v) for v in frozenset(g.order)],
                            [(swap.get(u, u), swap.get(v, v)) for (u, v) in g.edges])
         assert h.rows == g.rows and h != g
