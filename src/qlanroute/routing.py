@@ -11,6 +11,9 @@ Two ways to serve remote source-destination requests between the QLANs:
   request whose endpoints are complement-adjacent holds a direct virtual
   link, all in the same round.
 
+Each strategy returns one :class:`RoutingReport`; a caller that needs
+the switch's graphs or records runs :func:`run_pipeline` itself.
+
 Baseline cost model
 -------------------
 The comparison needs concrete accounting, so the baseline uses this
@@ -42,14 +45,7 @@ from typing import Iterable, Mapping
 
 from .errors import InternalAssertionError, UnknownVertexError, ValidationError
 from .graph import InterQlanGraph, bit_indices, validate_client_graph
-from .switching import (
-    AugmentationCase,
-    AugmentedGraph,
-    MeasurementRecord,
-    augment_case1,
-    augment_case2,
-    run_pipeline,
-)
+from .switching import AugmentationCase, augment_case1, augment_case2, run_pipeline
 
 TQR = "TQR"
 COMPLEMENT = "Complement"
@@ -248,24 +244,14 @@ def run_tqr(topo: PhysicalTopology, reqs: RequestSet) -> RoutingReport:
     )
 
 
-@dataclass(frozen=True)
-class ComplementRun:
-    """Everything a complement-strategy execution produced."""
-
-    report: RoutingReport
-    augmented: AugmentedGraph | None
-    final_graph: InterQlanGraph | None
-    records: tuple[MeasurementRecord, ...]
-
-
 def execute_complement(
     g: InterQlanGraph,
     reqs: RequestSet,
     case: AugmentationCase = AugmentationCase.CASE_I,
     retain: Iterable = (),
     run_when_empty: bool = True,
-) -> ComplementRun:
-    """Run the proactive strategy and keep the pipeline artifacts.
+) -> RoutingReport:
+    """Run the proactive strategy and report which requests it serves.
 
     Endpoints already adjacent in ``g`` are served at zero cost. All
     other requests are served exactly when their pair appears in the
@@ -280,8 +266,7 @@ def execute_complement(
                 raise UnknownVertexError(f"request endpoint {name!r} is not a client of the graph")
         resolved.append((i, known[s], known[d]))
     if not resolved and not run_when_empty:
-        report = RoutingReport(COMPLEMENT, 0, 0, 0, (), (), {v.name: 0 for v in g.order})
-        return ComplementRun(report, None, None, ())
+        return RoutingReport(COMPLEMENT, 0, 0, 0, (), (), {v.name: 0 for v in g.order})
     retained = frozenset(retain)
     aug = (augment_case1 if case is AugmentationCase.CASE_I else augment_case2)(g, retained)
     final, records = run_pipeline(aug)
@@ -296,7 +281,7 @@ def execute_complement(
             failed.append((i, "not a complement pair"))
     # proactive: every node holds exactly its one graph-state qubit
     peak = {v.name: 1 for v in aug.graph.order}
-    report = RoutingReport(
+    return RoutingReport(
         strategy=COMPLEMENT,
         rounds=1,
         swap_count=0,
@@ -305,7 +290,6 @@ def execute_complement(
         failed=tuple(failed),
         comm_qubit_peak=peak,
     )
-    return ComplementRun(report, aug, final, tuple(records))
 
 
 @dataclass(frozen=True)
@@ -342,7 +326,7 @@ def compare(
             f"scenario mismatch: physical and artificial node sets differ at {missing}"
         )
     tqr_report = run_tqr(topo, reqs)
-    comp_report = execute_complement(g, reqs, case, retain, run_when_empty).report
+    comp_report = execute_complement(g, reqs, case, retain, run_when_empty)
     ratio = tqr_report.rounds / comp_report.rounds if comp_report.rounds else None
     axes = (
         {"axis": "key_operation", "tqr": "path selection", "complement": "graph manipulation"},

@@ -115,11 +115,12 @@ def _pair_list(data: dict, fld: str, source: str, roster: _Roster) -> tuple[tupl
     two QLANs, in either order; a request must run from QLAN 1 to QLAN 2.
 
     Pairs are walked one by one, each name looked up in ``roster``, which
-    names the first offender. A list that passes the set tests below, on
-    whole columns, is accepted without the walk: it holds only 2-item pairs
-    of client names, each from QLAN 1 to QLAN 2 unless they are physical
-    links. That saves about 1 ms of a 64+64 complement op's 11 ms (2-vCPU
-    host).
+    names the first offender. A name must be a string: the number ``1.10``
+    would read as ``"1.1"``, another client. A list that passes the set
+    tests below, on whole columns, is accepted without the walk: it holds
+    only 2-item pairs of client names, each from QLAN 1 to QLAN 2 unless
+    they are physical links. That saves about 1 ms of a 64+64 complement
+    op's 11 ms (2-vCPU host).
     """
     raw = data.get(fld, [])
     if not isinstance(raw, list):
@@ -141,7 +142,9 @@ def _pair_list(data: dict, fld: str, source: str, roster: _Roster) -> tuple[tupl
     for k, entry in enumerate(raw):
         if not isinstance(entry, (list, tuple)) or len(entry) != 2:
             raise _field_error(source, f"{fld}[{k}]", f"must be a 2-item pair, got {entry!r}")
-        a, b = str(entry[0]), str(entry[1])
+        a, b = entry
+        if not (isinstance(a, str) and isinstance(b, str)):
+            raise _field_error(source, f"{fld}[{k}]", f"must hold two name strings, got {entry!r}")
         i, j = get(a), get(b)
         if fld == "requests":
             if i is None or j is None:
@@ -198,8 +201,9 @@ def parse_scenario(data: dict, source: str = "scenario") -> Scenario:
     roster = _roster(n1, n2)
     pairs = {fld: _pair_list(data, fld, source, roster)
              for fld in ("inter_links", "physical_links", "requests")}
-    retain = tuple(map(str, retain_raw))
-    for r in retain:
+    for k, r in enumerate(retain_raw):
+        if not isinstance(r, str):
+            raise _field_error(source, f"retain[{k}]", f"must be a name string, got {r!r}")
         if r not in roster.position:
             raise _field_error(source, "retain", f"names unknown client {r!r}")
     for node in comm:
@@ -209,7 +213,7 @@ def parse_scenario(data: dict, source: str = "scenario") -> Scenario:
         n1=n1,
         n2=n2,
         comm_qubits=comm,
-        retain=retain,
+        retain=tuple(retain_raw),
         case=case,
         seed=seed,
         run_when_empty=run_when_empty,

@@ -108,20 +108,13 @@ class AugmentedGraph:
 class MeasurementRecord:
     """One X measurement step: who was measured, with which k0, and the
     graphs immediately before and after. A step is its position in the
-    pipeline's list of records."""
+    pipeline's list of records. :func:`measure_x` checks k0's adjacency;
+    the oracle's replay re-runs it on every record it is handed."""
 
     measured_vertex: LabeledVertex
     special_neighbor: LabeledVertex
     pre_graph: InterQlanGraph
     post_graph: InterQlanGraph
-
-    def __post_init__(self) -> None:
-        g = self.pre_graph
-        if not g.has_edge(self.measured_vertex, self.special_neighbor):
-            raise ValidationError(
-                f"k0 {self.special_neighbor.name} is not adjacent to "
-                f"{self.measured_vertex.name} in the pre-measurement graph"
-            )
 
 
 def augment_case1(g: InterQlanGraph, retain: Iterable[LabeledVertex] = ()) -> AugmentedGraph:

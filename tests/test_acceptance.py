@@ -161,7 +161,7 @@ def test_criterion_4_constant_cost_versus_serialized_baseline():
                 continue
             scenarios += 1
             for k in range(1, len(comp_pairs) + 1):
-                report = execute_complement(g, RequestSet(tuple(comp_pairs[:k]))).report
+                report = execute_complement(g, RequestSet(tuple(comp_pairs[:k])))
                 assert report.measurement_count == 2
                 assert report.rounds == 1
                 assert len(report.served) == k and not report.failed

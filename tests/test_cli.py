@@ -7,6 +7,7 @@ import gc
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import weakref
@@ -92,9 +93,18 @@ def test_complement_dot_export_is_well_formed(runner, tmp_path):
     dot = (tmp_path / "result_graph.dot").read_text()
     assert dot.startswith("graph ") and dot.rstrip().endswith("}")
     assert '"1.1"' in dot and '"2.1"' in dot
-    pydot = pytest.importorskip("pydot", reason="structural checks above cover the contract")
-    parsed = pydot.graph_from_dot_data(dot)
-    assert parsed
+    # every line between the braces declares a node or joins two declared nodes
+    nodes, edges = set(), []
+    for line in dot.splitlines()[1:-1]:
+        node = re.fullmatch(r'  "([^"]+)" \[[^\]]+\];', line)
+        edge = re.fullmatch(r'  "([^"]+)" -- "([^"]+)";', line)
+        assert node or edge, line
+        if node:
+            nodes.add(node[1])
+        else:
+            edges.append(edge.groups())
+    assert nodes == {v.name for v in scenario_graph(load_bundled_scenario("fig1")).order}
+    assert edges and all(u in nodes and v in nodes for u, v in edges)
 
 
 def test_complement_with_oracle_flag(runner, tmp_path):
@@ -194,6 +204,13 @@ def test_verify_capacity_exit_code(runner, tmp_path):
     err = json.loads(result.stderr.strip().splitlines()[-1])
     assert err["error"]["kind"] == "capacity"
     assert "smaller" in err["error"]["message"]
+
+
+def test_verify_writes_its_wall_time(runner, tmp_path):
+    result = invoke(runner, "verify", "--scenario", "exhaustive_small", "--out", tmp_path)
+    assert result.exit_code == 0, result.output
+    wall = json.loads((tmp_path / "verification.json").read_text())["wall_time_s"]
+    assert isinstance(wall, float) and wall >= 0
 
 
 def test_verify_normalize_blanks_wall_time(runner, tmp_path):

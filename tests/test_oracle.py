@@ -40,6 +40,7 @@ from qlanroute.oracle import (
     x_correction_ops,
 )
 from qlanroute.switching import (
+    MeasurementRecord,
     augment_case1,
     augment_case2,
     measure_x,
@@ -376,8 +377,8 @@ def test_verify_branches_are_independent_of_each_other(augment):
             state = apply_x_corrections(project_x(state, r.measured_vertex, s), ops)
         assert b.fidelity == fidelity(state, target)
         assert b.passed
-    again = verify_pipeline(aug.graph, records, final)
-    assert again.to_json(normalize=True) == full.to_json(normalize=True)
+    # a report holds no clock: a rerun on the same inputs is an equal value
+    assert verify_pipeline(aug.graph, records, final) == full
 
 
 def test_verify_shares_the_first_measurement_between_branches(monkeypatch):
@@ -433,6 +434,21 @@ def test_verify_rejects_inconsistent_records():
         verify_pipeline(aug.graph, list(reversed(records)), final)
 
 
+def test_a_hand_built_record_with_a_non_adjacent_k0_is_rejected():
+    # measure_x checks k0 before it builds a record; a record built by hand
+    # is caught where it is read, by the replay and by the byproduct table
+    g = client_graph(2, 2, [(1, 2)])
+    aug = augment_case1(g)  # Case I: s2 is wired to the QLAN 1 clients only
+    final, records = run_pipeline(aug)
+    k0 = client(2, 1)
+    assert not aug.graph.has_edge(aug.s2, k0)
+    bad = MeasurementRecord(aug.s2, k0, aug.graph, records[0].post_graph)
+    with pytest.raises(ValidationError, match="not adjacent"):
+        verify_pipeline(aug.graph, [bad, records[1]], final)
+    with pytest.raises(ValidationError, match="not adjacent"):
+        x_correction_ops(bad.pre_graph, bad.measured_vertex, bad.special_neighbor, +1)
+
+
 def test_verify_rejects_oversized_graphs():
     g = client_graph(7, 6)
     aug = augment_case1(g)  # 15 vertices with the supers
@@ -454,8 +470,7 @@ def test_verify_report_serialization_shape():
     for b in data["branches"]:
         assert len(b["corrections"]) == 2
         assert all("Y) on 1.1" in note for note in b["corrections"])
-    assert isinstance(data["wall_time_s"], float)
-    assert report.to_json(normalize=True)["wall_time_s"] is None
+    assert "wall_time_s" not in data  # the CLI times the call, not the report
 
 
 def test_canonical_order_is_stable():

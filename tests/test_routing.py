@@ -20,7 +20,7 @@ from qlanroute.routing import (
     find_path,
     run_tqr,
 )
-from qlanroute.switching import AugmentationCase
+from qlanroute.switching import AugmentationCase, AugmentedGraph, run_pipeline
 
 from helpers import all_client_graphs, physical_topologies, random_client_graph, reference_path
 
@@ -226,7 +226,7 @@ def test_complement_strategy_serves_all_complement_pairs_at_constant_cost():
     comp = complement_graph(g)
     reqs = RequestSet(tuple((u.name, v.name) for (u, v) in sorted(
         ((u, v) for (u, v) in comp.edges), key=lambda e: (e[0].name, e[1].name))))
-    report = execute_complement(g, reqs).report
+    report = execute_complement(g, reqs)
     assert report.strategy == COMPLEMENT
     assert report.rounds == 1
     assert report.measurement_count == 2
@@ -237,15 +237,15 @@ def test_complement_strategy_serves_all_complement_pairs_at_constant_cost():
 
 def test_complement_strategy_serves_already_adjacent_pairs_at_zero_cost():
     g = client_graph(2, 2, [(1, 1)])
-    report = execute_complement(g, RequestSet((("1.1", "2.1"), ("1.1", "2.2")))).report
+    report = execute_complement(g, RequestSet((("1.1", "2.1"), ("1.1", "2.2"))))
     assert sorted(report.served) == [0, 1]
 
 
 def test_complement_strategy_empty_requests_still_runs_the_pipeline():
     g = client_graph(2, 2, [(1, 1)])
-    report = execute_complement(g, RequestSet(())).report
+    report = execute_complement(g, RequestSet(()))
     assert report.rounds == 1 and report.measurement_count == 2
-    skipped = execute_complement(g, RequestSet(()), run_when_empty=False).report
+    skipped = execute_complement(g, RequestSet(()), run_when_empty=False)
     assert skipped.rounds == 0 and skipped.measurement_count == 0
 
 
@@ -259,7 +259,7 @@ def test_complement_strategy_fails_retained_remote_pairs():
     # (1.2, 2.2) was remote and 1.2 is retained: the switch cannot serve it
     g = client_graph(2, 2, [(2, 1)])
     report = execute_complement(g, RequestSet((("1.2", "2.2"), ("1.1", "2.2"))),
-                                retain=[client(1, 2)]).report
+                                retain=[client(1, 2)])
     assert report.failed == ((0, "not a complement pair"),)
     assert report.served == (1,)
 
@@ -270,7 +270,7 @@ def test_complement_strategy_exhaustive_3_plus_3():
         if not comp_edges:
             continue
         reqs = RequestSet(tuple(sorted((u.name, v.name) for (u, v) in comp_edges)))
-        report = execute_complement(g, reqs).report
+        report = execute_complement(g, reqs)
         assert len(report.served) == len(reqs) and not report.failed
         assert report.measurement_count == 2 and report.rounds == 1
 
@@ -283,7 +283,7 @@ def test_complement_served_set_matches_complement_edges_exactly():
         pairs = [(a.name, b.name) for a in g.clients() if a.qlan.value == 1
                  for b in g.clients() if b.qlan.value == 2]
         reqs = RequestSet(tuple(pairs))
-        report = execute_complement(g, reqs).report
+        report = execute_complement(g, reqs)
         for idx, (s, d) in enumerate(reqs):
             pair = make_edge(
                 next(v for v in g.clients() if v.name == s),
@@ -303,21 +303,14 @@ def test_served_rule_matches_name_level_adjacency(case, retain_count):
         names = {v.name: v for v in g.order}
         reqs = RequestSet(tuple((a, b) for a in names for b in names if a < b))
         retain = rng.sample(list(g.order), retain_count)
-        run = execute_complement(g, reqs, case=case, retain=retain)
-        rule = [g.has_edge(names[s], names[d]) or run.final_graph.has_edge(names[s], names[d])
+        report = execute_complement(g, reqs, case=case, retain=retain)
+        final, _ = run_pipeline(AugmentedGraph(g, case, retain))
+        rule = [g.has_edge(names[s], names[d]) or final.has_edge(names[s], names[d])
                 for s, d in reqs]
         assert any(g.has_edge(names[s], names[d]) for s, d in reqs)
-        assert run.report.served == tuple(i for i, ok in enumerate(rule) if ok)
-        assert run.report.failed == tuple((i, "not a complement pair")
-                                          for i, ok in enumerate(rule) if not ok)
-
-
-def test_execute_complement_exposes_pipeline_artifacts():
-    g = client_graph(2, 2, [(1, 1)])
-    run = execute_complement(g, RequestSet((("1.1", "2.2"),)), case=AugmentationCase.CASE_II)
-    assert run.final_graph == complement_graph(g)
-    assert len(run.records) == 2
-    assert run.augmented.case is AugmentationCase.CASE_II
+        assert report.served == tuple(i for i, ok in enumerate(rule) if ok)
+        assert report.failed == tuple((i, "not a complement pair")
+                                      for i, ok in enumerate(rule) if not ok)
 
 
 # -- comparison ---------------------------------------------------------------

@@ -79,13 +79,16 @@ def test_parse_rejects_bad_fields(patch, needle):
         ({"inter_links": [["1.1", "2.2"], "12"]}, "field 'inter_links[1]' must be a 2-item pair, got '12'"),
         ({"inter_links": [["1.1", "2.2"], ["2.1", "2.2"]]}, "field 'inter_links' (2.1, 2.2) stays inside one QLAN"),
         ({"inter_links": [["2.1", "1.1"], ["1.2", "2.9"]]}, "field 'inter_links' names unknown client '2.9'"),
-        ({"inter_links": [[["1.1"], "2.1"]]}, "field 'inter_links' names unknown client \"['1.1']\""),
-        ({"physical_links": [["1.1", "1.2"], ["2.1", 7]]}, "field 'physical_links' names unknown client '7'"),
+        ({"inter_links": [[["1.1"], "2.1"]]}, "field 'inter_links[0]' must hold two name strings, got [['1.1'], '2.1']"),
+        ({"physical_links": [["1.1", "1.2"], ["2.1", 7]]}, "field 'physical_links[1]' must hold two name strings, got ['2.1', 7]"),
         ({"requests": [["1.1", "2.1"], ["1.2", "1.1"]]},
          "field 'requests[1]' (1.2, 1.1) must run from a QLAN 1 source to a QLAN 2 destination"),
         ({"requests": [["1.1", "2.1"], ["1.2", "s2"]]}, "field 'requests[1]' names unknown client in (1.2, s2)"),
         ({"retain": ["2.2", "1.3"]}, "field 'retain' names unknown client '1.3'"),
         ({"comm_qubits": {"1.2": 3, "2.3": 1}}, "field 'comm_qubits' names unknown node '2.3'"),
+        # the number 1.10 is not client "1.10" of a 10+2 network, nor "1.1"
+        ({"qlan1": 10, "inter_links": [[1.10, 2.1]]}, "field 'inter_links[0]' must hold two name strings, got [1.1, 2.1]"),
+        ({"retain": ["2.2", 1.2]}, "field 'retain[1]' must be a name string, got 1.2"),
     ],
 )
 def test_a_single_fault_names_its_field_and_first_offender(patch, message):
@@ -96,15 +99,16 @@ def test_a_single_fault_names_its_field_and_first_offender(patch, message):
     assert str(err.value) == "scenario: " + message
 
 
-def test_parse_keeps_reversed_inter_links_and_stringifies_names():
+def test_parse_keeps_reversed_inter_links_and_rejects_numeric_names():
     # neither passes the bulk check, so both take the pair-by-pair walk
-    data = dict(GOOD, inter_links=[["2.2", "1.1"], ["1.2", "2.1"]], physical_links=[[1.1, "1.2"]])
+    data = dict(GOOD, inter_links=[["2.2", "1.1"], ["1.2", "2.1"]])
     sc = parse_scenario(data)
     assert sc.inter_links == (("2.2", "1.1"), ("1.2", "2.1"))
-    assert sc.physical_links == (("1.1", "1.2"),)
     g = scenario_graph(sc)
     assert g.has_edge(client(1, 1), client(2, 2)) and g.has_edge(client(1, 2), client(2, 1))
     assert g.edge_count == 2
+    with pytest.raises(ValidationError, match="physical_links\\[0\\]' must hold two name strings"):
+        parse_scenario(dict(GOOD, physical_links=[[1.1, "1.2"]]))
 
 
 def test_load_scenario_reports_json_line_context(tmp_path):
