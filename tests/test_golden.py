@@ -38,11 +38,41 @@ def _write_seeded_scenario(work: Path, n: int) -> Path:
     return path
 
 
+def _write_mixed_compare_scenario(work: Path, n: int) -> Path:
+    """A seeded n+n compare scenario, seeded by n: inter-links at p = 0.5,
+    a random spanning path plus extra physical links at p = 0.3, every
+    complement pair requested in seeded order, and budgets drawn from
+    {1, 1, 2, 3}, so 1-qubit time-sharing and 2- and 3-qubit nodes mix."""
+    rng = random.Random(n)
+    q1 = [f"1.{i}" for i in range(1, n + 1)]
+    q2 = [f"2.{j}" for j in range(1, n + 1)]
+    links = {(a, b) for a in q1 for b in q2 if rng.random() < 0.5}
+    names = sorted(q1 + q2)
+    order = names[:]
+    rng.shuffle(order)
+    physical = {tuple(sorted(p)) for p in zip(order, order[1:])}
+    physical |= {(a, b) for a in names for b in names if a < b and rng.random() < 0.3}
+    requests = [(a, b) for a in q1 for b in q2 if (a, b) not in links]
+    rng.shuffle(requests)
+    path = work / f"compare{n}.json"
+    path.write_text(json.dumps({
+        "name": f"compare-{n}-mixed", "qlan1": n, "qlan2": n,
+        "inter_links": sorted(links), "physical_links": sorted(physical),
+        "comm_qubits": {name: rng.choice([1, 1, 2, 3]) for name in names},
+        "requests": requests, "case": "I",
+    }))
+    return path
+
+
 CASES = {
     "sweep": lambda work: ["sweep", "--count", "100", "--seed", "7", "--normalize"],
     "complement-fig2-dot": lambda work: ["complement", "--scenario", "fig2", "--format", "dot"],
     "verify-exhaustive_small": lambda work: ["verify", "--scenario", "exhaustive_small", "--normalize"],
     "compare-fig1": lambda work: ["compare", "--scenario", "fig1", "--normalize"],
+    # 32+32, every complement pair requested: the baseline at benchmark scale
+    "compare-32-mixed": lambda work: [
+        "compare", "--scenario", str(_write_mixed_compare_scenario(work, 32)), "--normalize",
+    ],
     "compare-fig1-csv": lambda work: ["compare", "--scenario", "fig1", "--format", "csv", "--normalize"],
     "complement-fig2-csv": lambda work: ["complement", "--scenario", "fig2", "--format", "csv"],
     "complement-16-case-ii-retain": lambda work: [
