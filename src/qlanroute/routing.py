@@ -14,6 +14,11 @@ Two ways to serve remote source-destination requests between the QLANs:
 Each strategy returns one :class:`RoutingReport`; a caller that needs
 the switch's graphs or records runs :func:`run_pipeline` itself.
 
+The baseline works on node indices: :class:`PhysicalTopology` numbers
+its nodes in name order, and :func:`find_path` and :func:`run_tqr`
+share one walk over its cached BFS layers, so the lexicographic tie
+rule exists once. Names come back only in the report.
+
 Baseline cost model
 -------------------
 The comparison needs concrete accounting, so the baseline uses this
@@ -21,9 +26,9 @@ model (documented here as the repository's model and driven by the
 scenario file):
 
 * requests are admitted greedily in input order, one batch per round;
-  :func:`run_tqr` computes this as one first-fit pass, each request
-  placed in the lowest round whose earlier members leave it room, which
-  admits exactly the per-round batches;
+  :func:`run_tqr` computes this as one first-fit pass over node indices,
+  each request placed in the lowest round that none of its nodes has
+  marked full, which admits exactly the per-round batches;
 * an admitted path claims 1 communication qubit at each endpoint and 2
   at each transit repeater (one per adjacent link) for that round;
 * a repeater owning a single communication qubit can still carry one
@@ -55,11 +60,13 @@ COMPLEMENT = "Complement"
 class PhysicalTopology:
     """The physical network: node ids, undirected links, qubit budgets.
 
-    Node ``i`` is ``sorted(nodes)[i]``, and ``_rows[i]`` is its adjacency
-    as an int mask, built once at construction. The BFS layers around a
-    destination are cached on the first request for it, as one mask per
-    hop distance. Bit order is name order, so the lowest set bit of a mask
-    is its smallest name.
+    Node ``i`` is ``sorted(nodes)[i]``, so index order is name order.
+    One pass over ``links`` checks each link (a self-loop first, then its
+    endpoints), sets its two bits in the int adjacency rows ``_rows`` and
+    keeps it as ``(a, b)`` with ``a < b``. ``_caps[i]`` is node ``i``'s
+    budget. The BFS layers around a destination are cached on the first
+    request for it, as one mask per hop distance; the lowest set bit of a
+    mask is its smallest name.
     """
 
     nodes: frozenset[str]
@@ -67,36 +74,36 @@ class PhysicalTopology:
     comm_qubits: Mapping[str, int]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "nodes", frozenset(self.nodes))
+        nodes = frozenset(self.nodes)
+        names = tuple(sorted(nodes))
+        index = {n: i for i, n in enumerate(names)}
+        rows = [0] * len(names)
         canon = set()
         for (a, b) in self.links:
             if a == b:
                 raise ValidationError(f"physical link ({a}, {b}) is a self-loop")
-            for end in (a, b):
-                if end not in self.nodes:
-                    raise UnknownVertexError(f"link endpoint {end!r} is not a network node")
-            canon.add((min(a, b), max(a, b)))
-        object.__setattr__(self, "links", frozenset(canon))
-        budgets = {n: int(self.comm_qubits.get(n, 1)) for n in self.nodes}
-        for n, q in budgets.items():
-            if q < 1:
-                raise ValidationError(f"node {n} needs at least one communication qubit, got {q}")
-        object.__setattr__(self, "comm_qubits", budgets)
-        names = tuple(sorted(self.nodes))
-        index = {n: i for i, n in enumerate(names)}
-        rows = [0] * len(names)
-        for (a, b) in canon:
-            i, j = index[a], index[b]
+            i, j = index.get(a), index.get(b)
+            if i is None or j is None:
+                raise UnknownVertexError(f"link endpoint {(a if i is None else b)!r} is not a network node")
             rows[i] |= 1 << j
             rows[j] |= 1 << i
+            canon.add((a, b) if i < j else (b, a))
+        caps = [int(self.comm_qubits.get(n, 1)) for n in names]
+        for n, q in zip(names, caps):
+            if q < 1:
+                raise ValidationError(f"node {n} needs at least one communication qubit, got {q}")
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "links", frozenset(canon))
+        object.__setattr__(self, "comm_qubits", dict(zip(names, caps)))
         object.__setattr__(self, "_names", names)
         object.__setattr__(self, "_index", index)
-        object.__setattr__(self, "_rows", tuple(rows))
-        object.__setattr__(self, "_layers", {})
+        object.__setattr__(self, "_rows", rows)
+        object.__setattr__(self, "_caps", caps)
+        object.__setattr__(self, "_layers", [None] * len(names))
 
     def _layers_to(self, dst: int) -> list[int]:
         """BFS frontier masks around node ``dst``, nearest first (cached)."""
-        layers = self._layers.get(dst)
+        layers = self._layers[dst]
         if layers is None:
             rows = self._rows
             frontier = seen = 1 << dst
@@ -111,6 +118,26 @@ class PhysicalTopology:
             self._layers[dst] = layers
         return layers
 
+    def _transits(self, src: int, dst: int) -> list[int] | None:
+        """Inner nodes, in walk order, of the lexicographically smallest
+        shortest path from ``src`` to ``dst != src``; None when disconnected.
+        Stepping to the smallest neighbour one layer closer (the lowest set
+        bit) at each hop yields that path.
+        """
+        layers = self._layers_to(dst)
+        at = 1 << src
+        for hops, layer in enumerate(layers):
+            if layer & at:
+                break
+        else:
+            return None
+        rows, cur, inner = self._rows, src, []
+        for k in range(hops - 1, 0, -1):
+            step = rows[cur] & layers[k]
+            cur = (step & -step).bit_length() - 1
+            inner.append(cur)
+        return inner
+
 
 @dataclass(frozen=True)
 class RequestSet:
@@ -119,8 +146,10 @@ class RequestSet:
     requests: tuple[tuple[str, str], ...]
 
     def __post_init__(self) -> None:
-        canon = tuple((str(s), str(d)) for (s, d) in self.requests)
-        for (s, d) in canon:
+        canon = tuple((s, d) for (s, d) in self.requests)
+        for k, (s, d) in enumerate(canon):
+            if not (isinstance(s, str) and isinstance(d, str)):
+                raise ValidationError(f"request {k} must hold two name strings, got ({s!r}, {d!r})")
             if s == d:
                 raise ValidationError(f"request ({s}, {d}) has identical endpoints")
         object.__setattr__(self, "requests", canon)
@@ -160,79 +189,71 @@ def find_path(topo: PhysicalTopology, src: str, dst: str) -> list[str]:
     Returns [] when src and dst are disconnected.
     """
     for end in (src, dst):
-        if end not in topo.nodes:
+        if end not in topo._index:
             raise UnknownVertexError(f"node {end!r} is not in the topology")
     if src == dst:
         return [src]
-    cur = topo._index[src]
-    layers = topo._layers_to(topo._index[dst])
-    at = 1 << cur
-    for hops, layer in enumerate(layers):
-        if layer & at:
-            break
-    else:
+    inner = topo._transits(topo._index[src], topo._index[dst])
+    if inner is None:
         return []
-    # walking from src toward dst, always taking the smallest neighbor one
-    # layer closer (the lowest set bit), yields the lexicographically
-    # smallest shortest path
-    rows, names = topo._rows, topo._names
-    path = [src]
-    for k in range(hops - 1, -1, -1):
-        step = rows[cur] & layers[k]
-        cur = (step & -step).bit_length() - 1
-        path.append(names[cur])
-    return path
+    return [src, *(topo._names[i] for i in inner), dst]
 
 
 def run_tqr(topo: PhysicalTopology, reqs: RequestSet) -> RoutingReport:
     """Reactive baseline: per-round greedy admission under qubit budgets.
 
     One first-fit pass in input order puts each request in the lowest
-    round whose earlier members leave it room. That is exactly the batch
-    the round-by-round greedy scan would admit it to: when that scan
+    round where every node on its path has room: exactly the batch the
+    round-by-round greedy scan would admit it to, since when that scan
     reaches request i in round r, the round holds only earlier requests.
+    Room is two round masks per node: ``full1[v]`` holds the rounds where
+    ``usage + 1 <= cap`` fails (no room as an endpoint), ``full2[v]`` those
+    where ``usage + 2 <= max(cap, 2)`` fails (no room as a transit). A
+    round past the last is empty and has room for any demand, since every
+    budget is at least 1.
     """
-    cap = topo.comm_qubits
+    index, cap = topo._index, topo._caps
+    n = len(cap)
+    try:
+        ends = [(index[s], index[d]) for s, d in reqs]
+    except KeyError as exc:
+        raise UnknownVertexError(f"node {exc.args[0]!r} is not in the topology") from None
+    # a node turns full for an endpoint unit at usage >= cap, and for two
+    # transit units at usage >= max(cap, 2) - 1 (a 1-qubit repeater still
+    # carries one lone transit, time-shared)
+    cap2 = [max(c - 1, 1) for c in cap]
+    full1, full2 = [0] * n, [0] * n
+    peak = [0] * n
+    loads: list[list[int]] = []  # per round: demand units claimed, by node
     failed: list[tuple[int, str]] = []
     placed: list[tuple[int, int]] = []  # (round, request index)
-    loads: list[dict[str, int]] = []  # per round: node -> demand units claimed
-    # per node, a mask of the rounds where its usage is at least its budget;
-    # such a node has no room for any demand d, since usage + d > max(cap, d)
-    full = dict.fromkeys(topo.nodes, 0)
-    peak = dict.fromkeys(topo.nodes, 0)
     swaps = 0
-    for i, (src, dst) in enumerate(reqs):
-        path = find_path(topo, src, dst)
-        if not path:
+    for i, (src, dst) in enumerate(ends):
+        inner = topo._transits(src, dst)
+        if inner is None:
             failed.append((i, "disconnected"))
             continue
-        # (node, demand, limit): 1 qubit at each endpoint, 2 at each transit;
-        # max(cap, 2): a 1-qubit repeater still carries one lone transit, time-shared
-        need = [(n, 2, max(cap[n], 2)) for n in path[1:-1]]
-        need += ((src, 1, cap[src]), (dst, 1, cap[dst]))
-        ruled_out = 0
-        for n, _, _ in need:
-            ruled_out |= full[n]
-        # only existing rounds are ruled out, so the scan stops at the
-        # latest at the fresh round, which is empty and so always has room:
-        # 0 + d <= max(cap, d) with every budget at least 1
-        while True:
-            r = ((ruled_out + 1) & ~ruled_out).bit_length() - 1  # lowest round not ruled out
-            if r == len(loads):
-                loads.append({})
-                break
-            if all(loads[r].get(n, 0) + d <= limit for n, d, limit in need):
-                break
-            ruled_out |= 1 << r  # a node with a budget of 2 or more is short
-        load = loads[r]
-        for n, d, _ in need:
-            used = load[n] = load.get(n, 0) + d
-            if used >= cap[n]:
-                full[n] |= 1 << r
-            if used > peak[n]:
-                peak[n] = used
+        taken = full1[src] | full1[dst]
+        for v in inner:
+            taken |= full2[v]
+        r = (~taken & (taken + 1)).bit_length() - 1  # lowest round not taken
+        if r == len(loads):
+            loads.append([0] * n)
+        load, bit = loads[r], 1 << r
+        load[src] += 1
+        load[dst] += 1
+        for v in inner:
+            load[v] += 2
+        for v in (src, dst, *inner):
+            used = load[v]
+            if used >= cap[v]:
+                full1[v] |= bit
+            if used >= cap2[v]:
+                full2[v] |= bit
+            if used > peak[v]:
+                peak[v] = used
         placed.append((r, i))
-        swaps += len(need) - 2  # one swap per transit node
+        swaps += len(inner)  # one swap per transit node
     return RoutingReport(
         strategy=TQR,
         rounds=len(loads),
@@ -240,7 +261,7 @@ def run_tqr(topo: PhysicalTopology, reqs: RequestSet) -> RoutingReport:
         measurement_count=0,
         served=tuple(i for _, i in sorted(placed)),
         failed=tuple(failed),
-        comm_qubit_peak=peak,
+        comm_qubit_peak=dict(zip(topo._names, peak)),
     )
 
 

@@ -186,9 +186,11 @@ def parse_scenario(data: dict, source: str = "scenario") -> Scenario:
         raise _field_error(source, "comm_qubits", "must be an object mapping node names to integers")
     comm = {}
     for node, q in comm_raw.items():
+        if not isinstance(node, str):
+            raise _field_error(source, "comm_qubits", f"must be keyed by node name strings, got {node!r}")
         if not isinstance(q, int) or isinstance(q, bool) or q < 1:
             raise _field_error(source, f"comm_qubits[{node!r}]", f"must be an integer >= 1, got {q!r}")
-        comm[str(node)] = q
+        comm[node] = q
     retain_raw = data.get("retain", [])
     if not isinstance(retain_raw, list):
         raise _field_error(source, "retain", "must be a list of client names")

@@ -86,6 +86,26 @@ def test_topology_validation():
         topo(["a"], [], {"a": 0})
 
 
+def test_topology_checks_a_self_loop_before_its_endpoints():
+    # "zz" is no node, but the self-loop is the fault reported
+    with pytest.raises(ValidationError, match="self-loop") as err:
+        topo(["a"], [("zz", "zz")])
+    assert not isinstance(err.value, UnknownVertexError)
+
+
+@pytest.mark.parametrize("link", [("a", "q"), ("q", "a")])
+def test_topology_names_the_unknown_link_endpoint(link):
+    with pytest.raises(UnknownVertexError, match="link endpoint 'q' is not a network node"):
+        topo(["a", "b"], [("a", "b"), link])
+
+
+def test_topology_canonicalises_reversed_links_by_name():
+    # "n10" sorts before "n9" as a string
+    t = topo(["a", "b", "n9", "n10"], [("b", "a"), ("n9", "n10"), ("n10", "b")])
+    assert t.links == frozenset({("a", "b"), ("n10", "n9"), ("b", "n10")})
+    assert find_path(t, "a", "n9") == ["a", "b", "n10", "n9"]
+
+
 # -- the reactive baseline ----------------------------------------------------
 
 
@@ -213,9 +233,39 @@ def test_tqr_admission_matches_the_readme_rules_on_mixed_budgets(seed):
     assert dict(report.comm_qubit_peak) == peak
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_tqr_matches_the_readme_rules_past_64_rounds_on_64_nodes(seed):
+    # 600 requests on a sparse 56-node component and an 8-node island: the
+    # round masks outgrow 64 bits, and every cross-island request fails
+    rng = random.Random(seed)
+    nodes = [f"n{i}" for i in range(64)]
+    links = set()
+    for part in (nodes[:56], nodes[56:]):
+        order = part[:]
+        rng.shuffle(order)
+        links |= {tuple(sorted(p)) for p in zip(order, order[1:])}
+        links |= {(a, b) for a in part for b in part if a < b and rng.random() < 0.02}
+    t = topo(nodes, links, {n: rng.choice([1, 1, 2, 3]) for n in nodes})
+    pairs = [(a, b) for a in nodes for b in nodes if a != b]
+    reqs = RequestSet(tuple(rng.choice(pairs) for _ in range(600)))
+    report = run_tqr(t, reqs)
+    rounds, served, failed, swaps, peak = ref_tqr(t, reqs)
+    assert report.rounds == rounds > 64
+    assert report.served == served
+    assert report.failed == failed and failed
+    assert report.swap_count == swaps
+    assert dict(report.comm_qubit_peak) == peak
+
+
 def test_request_set_rejects_loopback():
     with pytest.raises(ValidationError):
         RequestSet((("a", "a"),))
+
+
+def test_request_set_rejects_numeric_names():
+    # the number 1.10 would read as client "1.1"
+    with pytest.raises(ValidationError, match=r"request 1 must hold two name strings, got \(1.1, '2.1'\)"):
+        RequestSet((("1.2", "2.1"), (1.10, "2.1")))
 
 
 # -- the proactive strategy ------------------------------------------------------

@@ -89,6 +89,8 @@ def test_parse_rejects_bad_fields(patch, needle):
         # the number 1.10 is not client "1.10" of a 10+2 network, nor "1.1"
         ({"qlan1": 10, "inter_links": [[1.10, 2.1]]}, "field 'inter_links[0]' must hold two name strings, got [1.1, 2.1]"),
         ({"retain": ["2.2", 1.2]}, "field 'retain[1]' must be a name string, got 1.2"),
+        # nor does the key 1.10 budget node "1.1"
+        ({"qlan1": 10, "comm_qubits": {1.10: 3}}, "field 'comm_qubits' must be keyed by node name strings, got 1.1"),
     ],
 )
 def test_a_single_fault_names_its_field_and_first_offender(patch, message):
