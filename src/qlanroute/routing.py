@@ -64,9 +64,10 @@ class PhysicalTopology:
     One pass over ``links`` checks each link (a self-loop first, then its
     endpoints), sets its two bits in the int adjacency rows ``_rows`` and
     keeps it as ``(a, b)`` with ``a < b``. ``_caps[i]`` is node ``i``'s
-    budget. The BFS layers around a destination are cached on the first
-    request for it, as one mask per hop distance; the lowest set bit of a
-    mask is its smallest name.
+    budget (1 by default; a budget for a name that is no node raises).
+    The BFS layers around a destination are cached on the first request
+    for it, as one mask per hop distance; the lowest set bit of a mask is
+    its smallest name.
     """
 
     nodes: frozenset[str]
@@ -88,6 +89,9 @@ class PhysicalTopology:
             rows[i] |= 1 << j
             rows[j] |= 1 << i
             canon.add((a, b) if i < j else (b, a))
+        for n in self.comm_qubits:
+            if n not in index:
+                raise UnknownVertexError(f"comm_qubits node {n!r} is not a network node")
         caps = [int(self.comm_qubits.get(n, 1)) for n in names]
         for n, q in zip(names, caps):
             if q < 1:
@@ -276,10 +280,10 @@ def execute_complement(
 
     Endpoints already adjacent in ``g`` are served at zero cost. All
     other requests are served exactly when their pair appears in the
-    switched graph, all within the single pipeline round.
+    switched graph, all within the single pipeline round. ``g`` must be a
+    client graph, which :class:`AugmentedGraph` or the skip path checks.
     """
-    validate_client_graph(g)
-    known = {v.name: i for i, v in enumerate(g.order)}  # a client graph: every vertex a client
+    known = {v.name: i for i, v in enumerate(g.order)}
     resolved = []
     for i, (s, d) in enumerate(reqs):
         for name in (s, d):
@@ -287,6 +291,7 @@ def execute_complement(
                 raise UnknownVertexError(f"request endpoint {name!r} is not a client of the graph")
         resolved.append((i, known[s], known[d]))
     if not resolved and not run_when_empty:
+        validate_client_graph(g)
         return RoutingReport(COMPLEMENT, 0, 0, 0, (), (), {v.name: 0 for v in g.order})
     retained = frozenset(retain)
     aug = (augment_case1 if case is AugmentationCase.CASE_I else augment_case2)(g, retained)
@@ -315,19 +320,35 @@ def execute_complement(
 
 @dataclass(frozen=True)
 class ComparisonReport:
-    """Side-by-side run of both strategies on one scenario."""
+    """Side-by-side run of both strategies on one scenario: the two reports,
+    from which the rounds ratio and the four axes are read."""
 
     tqr: RoutingReport
     complement: RoutingReport
-    rounds_ratio: float | None  # None when the complement side ran no round
-    axes: tuple[dict, ...]
+
+    @property
+    def rounds_ratio(self) -> float | None:  # None when the complement side ran no round
+        return self.tqr.rounds / self.complement.rounds if self.complement.rounds else None
+
+    @property
+    def axes(self) -> tuple[dict, ...]:
+        return (
+            {"axis": "key_operation", "tqr": "path selection", "complement": "graph manipulation"},
+            {"axis": "entanglement_resource", "tqr": "EPR pairs", "complement": "graph state"},
+            {"axis": "entanglement_distribution", "tqr": "reactive", "complement": "proactive"},
+            {
+                "axis": "key_tool",
+                "tqr": f"entanglement swapping ({self.tqr.swap_count} swaps)",
+                "complement": f"Pauli-X measurement ({self.complement.measurement_count} measurements)",
+            },
+        )
 
     def to_json(self) -> dict:
         return {
             "tqr": self.tqr.to_json(),
             "complement": self.complement.to_json(),
             "rounds_ratio": self.rounds_ratio,
-            "axes": [dict(a) for a in self.axes],
+            "axes": list(self.axes),
         }
 
 
@@ -339,29 +360,11 @@ def compare(
     retain: Iterable = (),
     run_when_empty: bool = True,
 ) -> ComparisonReport:
-    """Run both strategies on one scenario and tabulate the four axes."""
+    """Run both strategies on one scenario, the baseline first."""
     client_names = {v.name for v in g.clients()}
     if client_names != set(topo.nodes):
         missing = sorted(client_names ^ set(topo.nodes))
         raise ValidationError(
             f"scenario mismatch: physical and artificial node sets differ at {missing}"
         )
-    tqr_report = run_tqr(topo, reqs)
-    comp_report = execute_complement(g, reqs, case, retain, run_when_empty)
-    ratio = tqr_report.rounds / comp_report.rounds if comp_report.rounds else None
-    axes = (
-        {"axis": "key_operation", "tqr": "path selection", "complement": "graph manipulation"},
-        {"axis": "entanglement_resource", "tqr": "EPR pairs", "complement": "graph state"},
-        {"axis": "entanglement_distribution", "tqr": "reactive", "complement": "proactive"},
-        {
-            "axis": "key_tool",
-            "tqr": f"entanglement swapping ({tqr_report.swap_count} swaps)",
-            "complement": f"Pauli-X measurement ({comp_report.measurement_count} measurements)",
-        },
-    )
-    return ComparisonReport(
-        tqr=tqr_report,
-        complement=comp_report,
-        rounds_ratio=ratio,
-        axes=axes,
-    )
+    return ComparisonReport(run_tqr(topo, reqs), execute_complement(g, reqs, case, retain, run_when_empty))

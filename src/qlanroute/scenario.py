@@ -200,6 +200,9 @@ def parse_scenario(data: dict, source: str = "scenario") -> Scenario:
     run_when_empty = data.get("run_when_empty", True)
     if not isinstance(run_when_empty, bool):
         raise _field_error(source, "run_when_empty", f"must be a boolean, got {run_when_empty!r}")
+    name = data.get("name", "")
+    if not isinstance(name, str):
+        raise _field_error(source, "name", f"must be a string, got {name!r}")
     roster = _roster(n1, n2)
     pairs = {fld: _pair_list(data, fld, source, roster)
              for fld in ("inter_links", "physical_links", "requests")}
@@ -219,7 +222,7 @@ def parse_scenario(data: dict, source: str = "scenario") -> Scenario:
         case=case,
         seed=seed,
         run_when_empty=run_when_empty,
-        name=str(data.get("name", "")),
+        name=name,
         **pairs,
     )
 

@@ -164,6 +164,15 @@ def test_flag_names_with_non_decimal_digits_are_validation_errors(runner, tmp_pa
     assert "cannot parse" in assert_one_json_error(result, 1)["message"]
 
 
+@pytest.mark.parametrize("flag", ["--retain=1.01", "--k0=1.02"])
+def test_flag_names_must_be_canonical_vertex_names(runner, tmp_path, flag):
+    # "1.01" would parse as client 1.1, and the summary would echo "1.01"
+    out = tmp_path / "out"
+    result = invoke(runner, "complement", "--scenario", "fig2", "--out", out, flag)
+    assert "cannot parse" in assert_one_json_error(result, 1)["message"]
+    assert not out.exists()
+
+
 def test_complement_missing_scenario_file(runner, tmp_path):
     result = invoke(runner, "complement", "--scenario", tmp_path / "none.json",
                     "--out", tmp_path)

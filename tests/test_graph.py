@@ -62,7 +62,9 @@ def test_vertex_from_name_round_trip():
         assert vertex_from_name(name).name == name
 
 
-@pytest.mark.parametrize("bad", ["", "3.1", "1.", "1.0", "s3", "x", "1,2", "1.-2"])
+@pytest.mark.parametrize(
+    "bad", ["", "3.1", "1.", "1.0", "s3", "x", "1,2", "1.-2", "1.01", "2.007", "1.\u0663"]
+)
 def test_vertex_from_name_rejects_garbage(bad):
     with pytest.raises(ValidationError):
         vertex_from_name(bad)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import dataclasses
 import inspect
 import random
 import typing
@@ -30,7 +31,10 @@ from qlanroute.graph import (
 )
 from qlanroute import oracle
 from qlanroute.oracle import (
+    FIDELITY_TOL,
+    BranchResult,
     QuantumState,
+    VerificationReport,
     apply_x_corrections,
     describe_corrections,
     fidelity,
@@ -307,6 +311,8 @@ def test_quantum_state_validates_norm_and_order():
         QuantumState(np.array([1.0, 0, 0]), (client(1, 1),))
     with pytest.raises(UnknownVertexError):
         prepare_graph_state(client_graph(1, 1)).qubit_index(client(2, 9))
+    with pytest.raises(ValidationError, match="distinct"):
+        QuantumState(np.array([1.0, 0, 0, 0]), (client(1, 1), client(1, 1)))
 
 
 def test_annotations_name_numpy_without_a_runtime_np_global():
@@ -471,6 +477,18 @@ def test_verify_report_serialization_shape():
         assert len(b["corrections"]) == 2
         assert all("Y) on 1.1" in note for note in b["corrections"])
     assert "wall_time_s" not in data  # the CLI times the call, not the report
+
+
+def test_a_branch_verdict_is_read_from_its_fidelity():
+    assert [f.name for f in dataclasses.fields(BranchResult)] == ["outcomes", "fidelity", "corrections"]
+    with pytest.raises(TypeError):
+        BranchResult((1, 1), 0.5, True, ())
+    edge = 1.0 - FIDELITY_TOL
+    assert BranchResult((1, 1), edge, ()).passed
+    assert not BranchResult((1, 1), float(np.nextafter(edge, 0.0)), ()).passed
+    # a report cannot claim more than its numbers
+    data = VerificationReport((BranchResult((1, 1), 0.5, ()),)).to_json()
+    assert (data["passed"], data["min_fidelity"], data["branches"][0]["passed"]) == (False, 0.5, False)
 
 
 def test_canonical_order_is_stable():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
@@ -13,8 +14,10 @@ from qlanroute.graph import client, client_graph, complement_graph, make_edge
 from qlanroute.routing import (
     COMPLEMENT,
     TQR,
+    ComparisonReport,
     PhysicalTopology,
     RequestSet,
+    RoutingReport,
     compare,
     execute_complement,
     find_path,
@@ -84,6 +87,11 @@ def test_topology_validation():
         topo(["a"], [("a", "b")])
     with pytest.raises(ValidationError, match="communication qubit"):
         topo(["a"], [], {"a": 0})
+
+
+def test_topology_rejects_a_budget_for_a_node_it_does_not_have():
+    with pytest.raises(UnknownVertexError, match="'zz' is not a network node"):
+        topo(["a", "b"], [("a", "b")], {"zz": 0})
 
 
 def test_topology_checks_a_self_loop_before_its_endpoints():
@@ -410,6 +418,22 @@ def test_compare_axes_table_reports_measured_tools():
     }
     assert "2 measurements" in axes["key_tool"]["complement"]
     assert f"{report.tqr.swap_count} swaps" in axes["key_tool"]["tqr"]
+
+
+def _report(strategy, rounds, swaps=0, measurements=0):
+    return RoutingReport(strategy, rounds, swaps, measurements, (), (), {})
+
+
+def test_a_comparison_report_is_its_two_reports():
+    assert [f.name for f in dataclasses.fields(ComparisonReport)] == ["tqr", "complement"]
+    with pytest.raises(TypeError):
+        ComparisonReport(_report(TQR, 3), _report(COMPLEMENT, 1), 99.0, ())
+    report = ComparisonReport(_report(TQR, 3, swaps=4), _report(COMPLEMENT, 1, measurements=2))
+    assert report.rounds_ratio == 3.0
+    key_tool = report.axes[-1]
+    assert key_tool["tqr"] == "entanglement swapping (4 swaps)"
+    assert key_tool["complement"] == "Pauli-X measurement (2 measurements)"
+    assert ComparisonReport(_report(TQR, 3), _report(COMPLEMENT, 0)).rounds_ratio is None
 
 
 def test_compare_hub_scenarios_serialize_by_request_count():

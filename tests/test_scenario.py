@@ -63,6 +63,7 @@ def test_parse_good_scenario():
         ({"comm_qubits": {"7.7": 1}}, "unknown node"),
         ({"seed": "x"}, "seed"),
         ({"run_when_empty": "yes"}, "run_when_empty"),
+        ({"name": None}, "name"),
     ],
 )
 def test_parse_rejects_bad_fields(patch, needle):
