@@ -79,6 +79,11 @@ CASES = {
         "complement", "--scenario", str(_write_seeded_scenario(work, 16)),
         "--case", "II", "--retain", "1.3,1.9,2.4",
     ],
+    # 64+64, Case II, 4 retained clients per QLAN: the benchmark's complement shape
+    "complement-64-case-ii-retain": lambda work: [
+        "complement", "--scenario", str(_write_seeded_scenario(work, 64)),
+        "--case", "II", "--retain", "1.5,1.17,1.40,1.64,2.1,2.22,2.33,2.58",
+    ],
     # 6+6 clients and two super-nodes: 14 qubits, the dense oracle's capacity
     "verify-6-case-i-retain": lambda work: [
         "verify", "--scenario", str(_write_seeded_scenario(work, 6)),
