@@ -9,8 +9,10 @@ A report that cannot be written, say under an ``--out`` below a regular
 file or over a directory, is a validation failure and leaves none of the
 run's reports and no temporary file. Every JSON report goes through one
 stdlib writer, ``_dumps``, whose bytes equal
-``json.dumps(obj, indent=2, sort_keys=True)``; it renders the graph
-reports' edge blocks straight from the adjacency rows. ``--help``,
+``json.dumps(obj, indent=2, sort_keys=True)``. It builds each report as
+one flat list of text pieces, joined once; it renders the graph reports'
+edge blocks straight from the adjacency rows, and appends a block the
+report repeats again from its pieces instead of rendering it twice. ``--help``,
 ``--version`` and the help shown for no arguments (on stderr, exit 2)
 print with ``print``, so an in-process caller's output stream is not kept
 alive. Only ``verify`` and ``complement --oracle`` load numpy: the oracle
@@ -121,49 +123,84 @@ def _write_reports(out: Path, reports: dict[str, str]) -> None:
 _LITERALS = {True: "true", False: "false", None: "null"}
 
 
-def _dumps(obj, depth: int = 0) -> str:
-    """``json.dumps(obj, indent=2, sort_keys=True)``, byte for byte.
+def _dumps(obj) -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True)``, byte for byte."""
+    parts: list[str] = []
+    _emit(obj, 0, parts, {})
+    return "".join(parts)
 
-    With an indent, CPython before 3.13 encodes in pure Python. Here strings
-    are quoted by the C ``encode_basestring_ascii``. An :class:`EdgeRows`
-    block, most of a trace, is rendered as the list of its name pairs
-    straight from the graph's rows: each vertex's name is quoted once per
-    ``order`` and depth, into the texts that open and close a pair, and
-    each row's pairs are one ``join`` of the texts its bits select. Floats
-    and other scalars go through ``json.dumps``, so their spelling is the
-    encoder's own.
+
+def _json_report(obj) -> str:
+    """A JSON report's text: :func:`_dumps` and a final newline, joined once."""
+    parts: list[str] = []
+    _emit(obj, 0, parts, {})
+    parts.append("\n")
+    return "".join(parts)
+
+
+def _emit(obj, depth: int, parts: list[str], blocks: dict) -> None:
+    """Append the pieces of ``obj``'s text at ``depth`` to ``parts``.
+
+    A report is one flat piece list, joined once by its caller: a nested
+    level never builds a string of its own, which a large report would
+    copy again at every level. With an indent, CPython before 3.13 encodes
+    in pure Python. Here strings are quoted by the C
+    ``encode_basestring_ascii``, and a flat list of strings or of ints is
+    one ``join``. An :class:`EdgeRows` block, most of a trace, is rendered
+    as the list of its name pairs straight from the graph's rows: each
+    vertex's name is quoted once per ``order`` and depth, into the texts
+    that open and close a pair, and each row is one piece, one ``join`` of
+    the texts its bits select. ``blocks`` maps each block already rendered
+    in this report, by (graph identity, mask, depth), to its slice of
+    ``parts``, so a block the report repeats is appended again, not
+    rendered again; the report holds every graph it names, so no identity
+    is reused while it renders. Floats and other scalars go through
+    ``json.dumps``, so their spelling is the encoder's own.
     """
     kind = type(obj)
     if kind is str:
-        return _quote(obj)
-    if kind is int:
-        return int.__repr__(obj)
-    if kind is bool or obj is None:
-        return _LITERALS[obj]
-    if kind is EdgeRows:  # each row's pairs share their head: one join per row
+        parts.append(_quote(obj))
+    elif kind is int:
+        parts.append(int.__repr__(obj))
+    elif kind is bool or obj is None:
+        parts.append(_LITERALS[obj])
+    elif kind is EdgeRows:
+        key = (id(obj.graph), obj.mask, depth)
+        if key in blocks:
+            parts += parts[blocks[key]]
+            return
+        start = len(parts)
         heads, tails = _pair_texts(obj.graph.order, depth)
-        body = "".join([heads[i] + heads[i].join(tail)
-                        for i, tail in upper_neighbors(obj.graph, obj.mask, tails)])
-        return "[" + body[1:] + "\n" + "  " * depth + "]" if body else "[]"
-    is_list = isinstance(obj, (list, tuple))
-    if not (is_list or isinstance(obj, dict)):
-        return json.dumps(obj)
-    if not obj:
-        return "[]" if is_list else "{}"
-    inner = "\n" + "  " * (depth + 1)
-    sep = "," + inner
-    if not is_list:
-        body = sep.join([_quote(k if isinstance(k, str) else _key(k)) + ": " + _dumps(v, depth + 1)
-                         for k, v in sorted(obj.items())])
-        return "{" + inner + body + "\n" + "  " * depth + "}"
-    kinds = set(map(type, obj))
-    if kinds == {str}:
-        body = sep.join(map(_quote, obj))
-    elif kinds == {int}:
-        body = sep.join(map(int.__repr__, obj))
+        parts += [heads[i] + heads[i].join(tail) for i, tail in upper_neighbors(obj.graph, obj.mask, tails)]
+        if len(parts) == start:
+            parts.append("[]")
+        else:  # the first pair has no comma before it
+            parts[start] = "[" + parts[start][1:]
+            parts.append("\n" + "  " * depth + "]")
+        blocks[key] = slice(start, len(parts))
+    elif not isinstance(obj, (list, tuple, dict)):
+        parts.append(json.dumps(obj))
+    elif not obj:
+        parts.append("{}" if isinstance(obj, dict) else "[]")
     else:
-        body = sep.join([_dumps(x, depth + 1) for x in obj])
-    return "[" + inner + body + "\n" + "  " * depth + "]"
+        is_list = not isinstance(obj, dict)
+        inner = "\n" + "  " * (depth + 1)
+        sep = "," + inner
+        close = "\n" + "  " * depth + ("]" if is_list else "}")
+        if is_list:
+            kinds = set(map(type, obj))
+            if kinds in ({str}, {int}):
+                parts.append("[" + inner + sep.join(map(_quote if str in kinds else int.__repr__, obj)) + close)
+                return
+            items = (("", x) for x in obj)
+        else:
+            items = ((_quote(k if isinstance(k, str) else _key(k)) + ": ", v) for k, v in sorted(obj.items()))
+        lead = ("[" if is_list else "{") + inner
+        for label, v in items:
+            parts.append(lead + label)
+            _emit(v, depth + 1, parts, blocks)
+            lead = sep
+        parts.append(close)
 
 
 @functools.lru_cache(maxsize=16)
@@ -186,10 +223,6 @@ def _key(key) -> str:
     if key is None or isinstance(key, (int, float)):
         return json.dumps(key)
     raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
-
-
-def _json_report(obj) -> str:
-    return _dumps(obj) + "\n"
 
 
 def _resolve_scenario(ref: str) -> Scenario:

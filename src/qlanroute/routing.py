@@ -64,7 +64,8 @@ class PhysicalTopology:
     One pass over ``links`` checks each link (a self-loop first, then its
     endpoints), sets its two bits in the int adjacency rows ``_rows`` and
     keeps it as ``(a, b)`` with ``a < b``. ``_caps[i]`` is node ``i``'s
-    budget (1 by default; a budget for a name that is no node raises).
+    budget: 1 by default, else an ``int`` (not a ``bool``) >= 1, the
+    scenario parser's rule; a budget for a name that is no node raises.
     The BFS layers around a destination are cached on the first request
     for it, as one mask per hop distance; the lowest set bit of a mask is
     its smallest name.
@@ -92,10 +93,10 @@ class PhysicalTopology:
         for n in self.comm_qubits:
             if n not in index:
                 raise UnknownVertexError(f"comm_qubits node {n!r} is not a network node")
-        caps = [int(self.comm_qubits.get(n, 1)) for n in names]
+        caps = [self.comm_qubits.get(n, 1) for n in names]
         for n, q in zip(names, caps):
-            if q < 1:
-                raise ValidationError(f"node {n} needs at least one communication qubit, got {q}")
+            if not isinstance(q, int) or isinstance(q, bool) or q < 1:
+                raise ValidationError(f"node {n}'s communication qubits must be an integer >= 1, got {q!r}")
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "links", frozenset(canon))
         object.__setattr__(self, "comm_qubits", dict(zip(names, caps)))

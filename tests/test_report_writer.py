@@ -3,7 +3,8 @@
 ``cli._dumps`` must equal ``json.dumps(obj, indent=2, sort_keys=True)``
 byte for byte on every JSON value, including the spellings the encoder
 owns (``1e-09``, ``NaN``, ``-0.0``, escaped non-ASCII), and on the
-reports' edge blocks, which it renders straight from a graph's rows.
+reports' edge blocks, which it renders straight from a graph's rows and
+appends again where one report repeats a block.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from qlanroute.cli import _dumps
+from qlanroute.cli import _dumps, _json_report
 from qlanroute.errors import ValidationError
 from qlanroute.graph import EdgeRows, InterQlanGraph, client, edges_as_names, graph_to_json, super_node
 from qlanroute.switching import AugmentationCase, AugmentedGraph, records_to_json, run_pipeline
@@ -149,3 +150,47 @@ def test_an_edge_block_renders_at_any_depth(g, mask, wrappers):
     for kind in wrappers:
         obj = [obj, 1] if kind == "list" else {"edges": obj, "n": None}
     assert _dumps(obj) == reference(as_lists(obj))
+
+
+# -- a block the report repeats --------------------------------------------------
+
+
+@settings(max_examples=100, deadline=None)
+@given(report_graphs())
+def test_a_block_repeated_at_one_depth_renders_as_the_encoder_would(g):
+    # a trace's post-graph of one step is the pre-graph of the next
+    obj = [{"post": {"edges": EdgeRows(g)}}, {"pre": {"edges": EdgeRows(g)}}, EdgeRows(g), EdgeRows(g)]
+    assert _dumps(obj) == reference(as_lists(obj))
+
+
+@settings(max_examples=100, deadline=None)
+@given(report_graphs())
+def test_one_graph_at_two_depths_renders_as_the_encoder_would(g):
+    obj = {"a": EdgeRows(g), "b": {"c": EdgeRows(g), "d": [EdgeRows(g)]}, "e": EdgeRows(g)}
+    assert _dumps(obj) == reference(as_lists(obj))
+
+
+@settings(max_examples=100, deadline=None)
+@given(report_graphs(supers=False, min_clients=1), st.sampled_from(AugmentationCase))
+def test_one_graph_under_two_masks_renders_as_the_encoder_would(g, case):
+    # edges and super_edges are the same graph under complementary masks
+    clients = InterQlanGraph(g.order, [(a, b) for a, b in g.edges if a.qlan != b.qlan])
+    data = graph_to_json(AugmentedGraph(clients, case).graph)
+    obj = [data, data, {"edges": data["super_edges"], "super_edges": data["edges"]}]
+    assert _dumps(obj) == reference(as_lists(obj))
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(report_graphs(), min_size=2, max_size=6))
+def test_no_block_carries_over_between_renders(graphs):
+    # each graph is rebuilt and dropped after its render, so a later graph can
+    # take a freed one's identity: only a memo kept across renders reuses it
+    for g in graphs:
+        assert _dumps(EdgeRows(InterQlanGraph(g.order, g.edges))) == reference(edges_as_names(g))
+        assert _dumps({"edges": EdgeRows(InterQlanGraph(g.order, g.edges))}) == reference({"edges": edges_as_names(g)})
+
+
+@settings(max_examples=100, deadline=None)
+@given(values | report_graphs().map(graph_to_json))
+def test_a_report_is_the_encoder_text_and_one_newline(obj):
+    assert _json_report(obj) == reference(as_lists(obj)) + "\n"

@@ -94,6 +94,13 @@ def test_topology_rejects_a_budget_for_a_node_it_does_not_have():
         topo(["a", "b"], [("a", "b")], {"zz": 0})
 
 
+@pytest.mark.parametrize("budget", [2.9, 1.0, "3", True, None])
+def test_topology_rejects_a_budget_that_is_not_an_int(budget):
+    # the scenario parser's rule: an int, not a bool, >= 1; nothing is coerced
+    with pytest.raises(ValidationError, match=f"node b's communication qubits must be an integer >= 1, got {budget!r}"):
+        topo(["a", "b"], [("a", "b")], {"a": 2, "b": budget})
+
+
 def test_topology_checks_a_self_loop_before_its_endpoints():
     # "zz" is no node, but the self-loop is the fault reported
     with pytest.raises(ValidationError, match="self-loop") as err:
