@@ -8,15 +8,16 @@ or none: each is staged as a temporary file, then renamed over its target.
 A report that cannot be written, say under an ``--out`` below a regular
 file or over a directory, is a validation failure and leaves none of the
 run's reports and no temporary file. Every JSON report goes through one
-stdlib writer, ``_dumps``, whose bytes equal
-``json.dumps(obj, indent=2, sort_keys=True)``. It builds each report as
-one flat list of text pieces, joined once; it renders the graph reports'
-edge blocks straight from the adjacency rows, and appends a block the
-report repeats again from its pieces instead of rendering it twice. ``--help``,
-``--version`` and the help shown for no arguments (on stderr, exit 2)
-print with ``print``, so an in-process caller's output stream is not kept
-alive. Only ``verify`` and ``complement --oracle`` load numpy: the oracle
-imports it inside the functions that build amplitudes.
+stdlib writer, ``_json_report``, whose bytes equal
+``json.dumps(obj, indent=2, sort_keys=True)`` and a newline. It builds
+each report as one flat list of text pieces, joined once; it renders the
+graph reports' edge blocks straight from the adjacency rows, and appends
+a block the report repeats again from its pieces instead of rendering it
+twice. ``--help``, ``--version`` and the help shown for no arguments (on
+stderr, exit 2) print with ``print``, so an in-process caller's output
+stream is not kept alive. Only ``verify`` and ``complement --oracle``
+load numpy: the oracle imports it inside the functions that build
+amplitudes.
 
 The library returns plain results: ``wall_time_s`` is timed here, around
 the library call a command makes, and ``--normalize`` writes it as ``null``.
@@ -123,15 +124,9 @@ def _write_reports(out: Path, reports: dict[str, str]) -> None:
 _LITERALS = {True: "true", False: "false", None: "null"}
 
 
-def _dumps(obj) -> str:
-    """``json.dumps(obj, indent=2, sort_keys=True)``, byte for byte."""
-    parts: list[str] = []
-    _emit(obj, 0, parts, {})
-    return "".join(parts)
-
-
 def _json_report(obj) -> str:
-    """A JSON report's text: :func:`_dumps` and a final newline, joined once."""
+    """A JSON report's text, joined once: ``json.dumps(obj, indent=2,
+    sort_keys=True)`` byte for byte, and a final newline."""
     parts: list[str] = []
     _emit(obj, 0, parts, {})
     parts.append("\n")
@@ -473,7 +468,7 @@ def _sweep_row(index: int, seed: int, sc: Scenario, report) -> dict:
         "seed": seed,
         "n1": sc.n1,
         "n2": sc.n2,
-        "inter_links": len(sc.inter_links),
+        "inter_links": len(set(map(frozenset, sc.inter_links))),  # a file may list a link twice
         "requests": len(sc.requests),
         "tqr_rounds": report.tqr.rounds,
         "tqr_swaps": report.tqr.swap_count,

@@ -3,8 +3,8 @@
 Two QLANs hold client nodes joined by cross-QLAN inter-links, the
 artificial topology enabled by a shared multipartite entanglement
 resource. This module owns the vertex and graph types plus the operations
-everything else is built on: neighborhoods, local complementation, vertex
-deletion and the bipartite complement.
+everything else is built on: local complementation, vertex deletion and
+the bipartite complement.
 
 Storage is integer-indexed, the representation graph-state simulators use
 (Anders & Briegel, arXiv:quant-ph/0504117): a graph keeps its vertices in
@@ -14,9 +14,7 @@ vertex, bit ``j`` of row ``i`` set when vertex ``i`` is adjacent to vertex
 ``j``. Local complementation at ``v`` is one XOR per neighbor of ``v``,
 deletion compresses one bit out of every row, and the bipartite
 complement is one mask operation per client. Walking the rows in index
-order yields the edges already in canonical order, so export never sorts;
-likewise :func:`neighbors` and :func:`complement_neighborhood` read one
-row mask and return a tuple of vertices in canonical order.
+order yields the edges already in canonical order, so export never sorts.
 :func:`graph_to_json` puts an :class:`EdgeRows` where an edge list goes:
 a value backed by the rows, which the report writer renders without
 building the list of name pairs. Client graphs of one size share their
@@ -54,10 +52,6 @@ class Qlan(Enum):
 
     Q1 = 1
     Q2 = 2
-
-    @property
-    def other(self) -> "Qlan":
-        return Qlan.Q2 if self is Qlan.Q1 else Qlan.Q1
 
 
 @dataclass(frozen=True, repr=False)
@@ -315,29 +309,6 @@ def client_graph(n1: int, n2: int, links: Iterable[tuple[int, int]] = ()) -> Int
     return _edgeless(n1, n2)._with_rows(rows)
 
 
-def neighbors(g: InterQlanGraph, v: LabeledVertex) -> tuple[LabeledVertex, ...]:
-    """All vertices adjacent to ``v``, in either QLAN, super-nodes included,
-    in canonical order."""
-    order = g.order
-    return tuple(order[k] for k in bit_indices(g.row(v)))
-
-
-def complement_neighborhood(g: InterQlanGraph, v: LabeledVertex) -> tuple[LabeledVertex, ...]:
-    """Opposite-QLAN clients that are remote from (not adjacent to) ``v``, in
-    canonical order.
-
-    Defined for client vertices of the Inter-QLAN proper; super-nodes are
-    excluded both as centers and as members.
-    """
-    row = g.row(v)
-    if v.is_super:
-        raise ValidationError(
-            f"complement neighborhood is defined for client vertices, not super-node {v.name}"
-        )
-    order = g.order
-    return tuple(order[k] for k in bit_indices(g.client_mask(v.qlan.other) & ~row))
-
-
 def local_complement(g: InterQlanGraph, v: LabeledVertex) -> InterQlanGraph:
     """Toggle every edge between two neighbors of ``v``; everything else stays.
 
@@ -460,7 +431,7 @@ def graph_to_json(g: InterQlanGraph) -> dict:
     ``n1`` / ``n2`` counts identify the client population; names, not
     internal indices, are the serialized identity of super-nodes. The two
     edge blocks are :class:`EdgeRows`, not lists: they iterate and compare
-    equal as the name-pair lists, and ``cli._dumps`` writes them, but
+    equal as the name-pair lists, and ``cli._json_report`` writes them, but
     ``json.dumps`` needs ``list(...)`` of each.
     """
     for q in Qlan:

@@ -8,6 +8,10 @@ of the rule output with fidelity 1 on every outcome branch.
 
 Conventions
 -----------
+* A :class:`QuantumState` is its ``amplitudes`` and its ``qubit_order``;
+  a qubit's axis is its position in the order, also kept in a dict: a
+  verify looks up about 40 axes, and ``tuple.index`` is about 15 times
+  slower per lookup.
 * Qubit ``i`` of a prepared state is vertex ``g.order[i]``, the graph's
   canonical order (row-major by (qlan, index), super-nodes last), and the
   order is recorded on every state so amplitude vectors are comparable
@@ -248,15 +252,16 @@ def fidelity(a: QuantumState, b: QuantumState) -> float:
 
     Every state built from a graph has the graph's canonical qubit order,
     so states over one vertex set are never permuted against each other.
+    Equal orders are the one check: they mean one dimension and one vertex
+    set.
     """
     import numpy as np
 
-    if a.n != b.n:
-        raise ValidationError(f"dimension mismatch: {a.n} vs {b.n} qubits")
-    if set(a.qubit_order) != set(b.qubit_order):
-        raise ValidationError("states are over different vertex sets")
     if a.qubit_order != b.qubit_order:
-        raise ValidationError("states order their qubits differently")
+        raise ValidationError(
+            f"states order their qubits differently: dimension {a.n} vs {b.n}, "
+            f"vertex sets {[v.name for v in a.qubit_order]} vs {[v.name for v in b.qubit_order]}"
+        )
     return float(abs(np.vdot(a.amplitudes, b.amplitudes)))
 
 

@@ -9,16 +9,17 @@ from collections import deque
 import numpy as np
 from hypothesis import strategies as st
 
+from qlanroute.errors import ValidationError
 from qlanroute.graph import (
     InterQlanGraph,
     LabeledVertex,
     Qlan,
+    bit_indices,
     client,
     client_graph,
     complement_graph,
     edges_as_names,
     make_edge,
-    neighbors,
     super_node,
 )
 from qlanroute.oracle import QuantumState
@@ -173,6 +174,34 @@ def reference_apply_x_corrections(state: QuantumState, ops) -> QuantumState:
             t = np.tensordot(_REFERENCE_ROTATIONS[kind], tensor(state), axes=([1], [axis]))
             state = QuantumState(np.moveaxis(t, 0, axis).reshape(-1), state.qubit_order)
     return state
+
+
+def other(q: Qlan) -> Qlan:
+    """The QLAN that is not ``q``."""
+    return Qlan.Q2 if q is Qlan.Q1 else Qlan.Q1
+
+
+def neighbors(g: InterQlanGraph, v: LabeledVertex) -> tuple[LabeledVertex, ...]:
+    """All vertices adjacent to ``v``, in either QLAN, super-nodes included,
+    in canonical order."""
+    order = g.order
+    return tuple(order[k] for k in bit_indices(g.row(v)))
+
+
+def complement_neighborhood(g: InterQlanGraph, v: LabeledVertex) -> tuple[LabeledVertex, ...]:
+    """Opposite-QLAN clients that are remote from (not adjacent to) ``v``, in
+    canonical order.
+
+    Defined for client vertices of the Inter-QLAN proper; super-nodes are
+    excluded both as centers and as members.
+    """
+    row = g.row(v)
+    if v.is_super:
+        raise ValidationError(
+            f"complement neighborhood is defined for client vertices, not super-node {v.name}"
+        )
+    order = g.order
+    return tuple(order[k] for k in bit_indices(g.client_mask(other(v.qlan)) & ~row))
 
 
 def stabilizer_expectation(state: QuantumState, g: InterQlanGraph, v: LabeledVertex) -> float:

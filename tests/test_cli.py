@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import csv
 import gc
 import io
 import json
@@ -264,6 +265,15 @@ def test_compare_csv_artifact(runner, tmp_path):
     lines = (tmp_path / "comparison.csv").read_text().splitlines()
     assert lines[0].startswith("index,seed,n1,n2")
     assert len(lines) == 2
+
+
+def test_compare_csv_counts_each_inter_link_once(runner, tmp_path):
+    # a file may list one link several times, in either direction
+    path = write_scenario(tmp_path, inter_links=[["1.1", "2.1"], ["2.1", "1.1"], ["1.1", "2.1"]])
+    result = invoke(runner, "compare", "--scenario", path, "--out", tmp_path / "out", "--format", "csv")
+    assert result.exit_code == 0, result.output
+    rows = list(csv.DictReader(io.StringIO((tmp_path / "out" / "comparison.csv").read_text())))
+    assert [row["inter_links"] for row in rows] == ["1"]
 
 
 def test_compare_rejects_the_dot_format_as_a_usage_error(runner, tmp_path):

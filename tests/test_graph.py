@@ -17,13 +17,11 @@ from qlanroute.graph import (
     client,
     client_graph,
     complement_graph,
-    complement_neighborhood,
     delete_vertex,
     edges_as_names,
     graph_to_json,
     local_complement,
     make_edge,
-    neighbors,
     super_node,
     to_dot,
     vertex_from_name,
@@ -33,6 +31,9 @@ from qlanroute.graph import (
 from helpers import (
     all_client_graphs,
     client_graphs,
+    complement_neighborhood,
+    neighbors,
+    other,
     plain_graphs,
     random_client_graph,
     random_plain_graph,
@@ -159,7 +160,7 @@ def test_complement_neighborhood_matches_set_difference():
     for _ in range(25):
         g = random_client_graph(rng, 3, 4)
         for v in g.clients():
-            opposite = set(g.clients(v.qlan.other))
+            opposite = set(g.clients(other(v.qlan)))
             expected = opposite - set(neighbors(g, v))
             assert frozenset(complement_neighborhood(g, v)) == frozenset(expected)
 
@@ -293,7 +294,7 @@ def test_neighbors_and_complement_partition_opposite_qlan(g):
         near = frozenset(neighbors(g, v))
         far = frozenset(complement_neighborhood(g, v))
         assert near & far == frozenset()
-        assert near | far == frozenset(g.clients(v.qlan.other))
+        assert near | far == frozenset(g.clients(other(v.qlan)))
 
 
 # -- serialization -----------------------------------------------------------

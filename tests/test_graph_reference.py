@@ -24,10 +24,11 @@ from qlanroute.graph import (
     edges_as_names,
     graph_to_json,
     local_complement,
-    neighbors,
     vertex_sort_key,
 )
 from qlanroute.switching import measure_x
+
+from helpers import neighbors
 
 # -- the reference: (names, edges) with edges a set of frozenset name pairs
 

@@ -304,6 +304,38 @@ def test_fidelity_rejects_mismatched_states():
         fidelity(a, c)
 
 
+def _zero_state(order) -> QuantumState:
+    amps = np.zeros(2 ** len(order))
+    amps[0] = 1
+    return QuantumState(amps, order)
+
+
+@pytest.mark.parametrize("a, b", [
+    ((client(1, 1),), (client(1, 1), client(2, 1))),
+    ((client(2, 1),), (client(1, 1), client(2, 1))),
+    ((client(1, 1), client(2, 1)), (client(1, 1), client(2, 1), super_node(1))),
+    ((), (client(1, 1),)),
+])
+def test_fidelity_rejects_states_of_different_sizes(a, b):
+    with pytest.raises(ValidationError):
+        fidelity(_zero_state(a), _zero_state(b))
+    with pytest.raises(ValidationError):
+        fidelity(_zero_state(b), _zero_state(a))
+
+
+def test_fidelity_rejects_states_over_different_vertex_sets():
+    # one size, other vertices: two projections of one state on different qubits
+    s = prepare_graph_state(client_graph(1, 2, [(1, 1), (1, 2)]))
+    a, b = project_x(s, client(2, 1), +1), project_x(s, client(2, 2), +1)
+    assert a.n == b.n
+    with pytest.raises(ValidationError):
+        fidelity(a, b)
+    for x, y in [((client(1, 1),), (client(2, 1),)),
+                 ((client(1, 1), client(2, 1)), (super_node(1), super_node(2)))]:
+        with pytest.raises(ValidationError):
+            fidelity(_zero_state(x), _zero_state(y))
+
+
 def test_quantum_state_validates_norm_and_order():
     with pytest.raises(ValidationError, match="norm"):
         QuantumState(np.array([1.0, 1.0]), (client(1, 1),))

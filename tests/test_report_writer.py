@@ -1,10 +1,11 @@
 """The report writer cannot drift from the stdlib encoder.
 
-``cli._dumps`` must equal ``json.dumps(obj, indent=2, sort_keys=True)``
-byte for byte on every JSON value, including the spellings the encoder
-owns (``1e-09``, ``NaN``, ``-0.0``, escaped non-ASCII), and on the
-reports' edge blocks, which it renders straight from a graph's rows and
-appends again where one report repeats a block.
+``cli._json_report`` must equal ``json.dumps(obj, indent=2,
+sort_keys=True)`` and one newline, byte for byte, on every JSON value,
+including the spellings the encoder owns (``1e-09``, ``NaN``, ``-0.0``,
+escaped non-ASCII), and on the reports' edge blocks, which it renders
+straight from a graph's rows and appends again where one report repeats
+a block.
 """
 
 from __future__ import annotations
@@ -16,14 +17,14 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from qlanroute.cli import _dumps, _json_report
+from qlanroute.cli import _json_report
 from qlanroute.errors import ValidationError
 from qlanroute.graph import EdgeRows, InterQlanGraph, client, edges_as_names, graph_to_json, super_node
 from qlanroute.switching import AugmentationCase, AugmentedGraph, records_to_json, run_pipeline
 
 
 def reference(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True)
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
 strings = st.text() | st.sampled_from(["", "é", "☃", "\U0001d11e", "\ud800", '"', "\\",
@@ -62,7 +63,7 @@ values = st.recursive(
 @example([["a", "b"], ("c", "d"), []])
 @example(["a", 1, "b", 2])
 def test_writer_equals_the_encoder(obj):
-    assert _dumps(obj) == reference(obj)
+    assert _json_report(obj) == reference(obj)
 
 
 @pytest.mark.parametrize("depth", [1, 5, 60])
@@ -70,7 +71,7 @@ def test_writer_equals_the_encoder_on_deep_nesting(depth):
     obj = [["1.1", "2.1"]]
     for level in range(depth):
         obj = {"level": level, "inner": [obj, (), {}, 1e-9]}
-    assert _dumps(obj) == reference(obj)
+    assert _json_report(obj) == reference(obj)
 
 
 @pytest.mark.parametrize("obj", [{(1, 2): 0}, [object()], {"a": {1, 2}}])
@@ -78,7 +79,7 @@ def test_writer_rejects_what_the_encoder_rejects(obj):
     with pytest.raises(TypeError):
         reference(obj)
     with pytest.raises(TypeError):
-        _dumps(obj)
+        _json_report(obj)
 
 
 # -- edge blocks rendered from rows ----------------------------------------------
@@ -120,7 +121,7 @@ def as_lists(obj):
 @given(report_graphs())
 def test_result_graph_edge_blocks_render_as_the_encoder_would(g):
     data = graph_to_json(g)
-    assert _dumps(data) == reference(as_lists(data))
+    assert _json_report(data) == reference(as_lists(data))
     assert data == graph_to_json(g) == as_lists(data) and as_lists(data) == data
     for block in (data["edges"], data["super_edges"]):
         names = edges_as_names(block.graph, block.mask)
@@ -140,7 +141,7 @@ def test_trace_edge_blocks_render_as_the_encoder_would(g, case, data):
     except ValidationError:  # every eligible k0 is retained: no trace
         assume(False)
     trace = records_to_json(records)
-    assert _dumps(trace) == reference(as_lists(trace))
+    assert _json_report(trace) == reference(as_lists(trace))
 
 
 @settings(max_examples=100, deadline=None)
@@ -149,7 +150,7 @@ def test_an_edge_block_renders_at_any_depth(g, mask, wrappers):
     obj = EdgeRows(g, mask)
     for kind in wrappers:
         obj = [obj, 1] if kind == "list" else {"edges": obj, "n": None}
-    assert _dumps(obj) == reference(as_lists(obj))
+    assert _json_report(obj) == reference(as_lists(obj))
 
 
 # -- a block the report repeats --------------------------------------------------
@@ -160,14 +161,14 @@ def test_an_edge_block_renders_at_any_depth(g, mask, wrappers):
 def test_a_block_repeated_at_one_depth_renders_as_the_encoder_would(g):
     # a trace's post-graph of one step is the pre-graph of the next
     obj = [{"post": {"edges": EdgeRows(g)}}, {"pre": {"edges": EdgeRows(g)}}, EdgeRows(g), EdgeRows(g)]
-    assert _dumps(obj) == reference(as_lists(obj))
+    assert _json_report(obj) == reference(as_lists(obj))
 
 
 @settings(max_examples=100, deadline=None)
 @given(report_graphs())
 def test_one_graph_at_two_depths_renders_as_the_encoder_would(g):
     obj = {"a": EdgeRows(g), "b": {"c": EdgeRows(g), "d": [EdgeRows(g)]}, "e": EdgeRows(g)}
-    assert _dumps(obj) == reference(as_lists(obj))
+    assert _json_report(obj) == reference(as_lists(obj))
 
 
 @settings(max_examples=100, deadline=None)
@@ -177,7 +178,7 @@ def test_one_graph_under_two_masks_renders_as_the_encoder_would(g, case):
     clients = InterQlanGraph(g.order, [(a, b) for a, b in g.edges if a.qlan != b.qlan])
     data = graph_to_json(AugmentedGraph(clients, case).graph)
     obj = [data, data, {"edges": data["super_edges"], "super_edges": data["edges"]}]
-    assert _dumps(obj) == reference(as_lists(obj))
+    assert _json_report(obj) == reference(as_lists(obj))
 
 
 @settings(max_examples=50, deadline=None)
@@ -186,11 +187,11 @@ def test_no_block_carries_over_between_renders(graphs):
     # each graph is rebuilt and dropped after its render, so a later graph can
     # take a freed one's identity: only a memo kept across renders reuses it
     for g in graphs:
-        assert _dumps(EdgeRows(InterQlanGraph(g.order, g.edges))) == reference(edges_as_names(g))
-        assert _dumps({"edges": EdgeRows(InterQlanGraph(g.order, g.edges))}) == reference({"edges": edges_as_names(g)})
+        assert _json_report(EdgeRows(InterQlanGraph(g.order, g.edges))) == reference(edges_as_names(g))
+        assert _json_report({"edges": EdgeRows(InterQlanGraph(g.order, g.edges))}) == reference({"edges": edges_as_names(g)})
 
 
 @settings(max_examples=100, deadline=None)
 @given(values | report_graphs().map(graph_to_json))
 def test_a_report_is_the_encoder_text_and_one_newline(obj):
-    assert _json_report(obj) == reference(as_lists(obj)) + "\n"
+    assert _json_report(obj) == reference(as_lists(obj))

@@ -16,7 +16,6 @@ from qlanroute.graph import (
     client_graph,
     complement_graph,
     make_edge,
-    neighbors,
     super_node,
 )
 from qlanroute.oracle import replay_records
@@ -32,7 +31,7 @@ from qlanroute.switching import (
     run_pipeline,
 )
 
-from helpers import all_client_graphs, client_graphs, random_client_graph
+from helpers import all_client_graphs, client_graphs, neighbors, other, random_client_graph
 
 S1, S2 = super_node(1), super_node(2)
 
@@ -131,7 +130,7 @@ def test_augment_matches_the_name_level_rule(build, to_opposite, g, data):
     aug = build(g, retained)
     supers = {Qlan.Q1: S1, Qlan.Q2: S2}
     switching = [c for c in g.clients() if c not in retained]
-    wired = {make_edge(c, supers[c.qlan.other if to_opposite else c.qlan]) for c in switching}
+    wired = {make_edge(c, supers[other(c.qlan) if to_opposite else c.qlan]) for c in switching}
     assert aug.graph.edges == g.edges | {make_edge(S1, S2)} | wired
     k0_qlan = Qlan.Q1 if to_opposite else Qlan.Q2
     assert eligible_k0(aug) == tuple(c for c in switching if c.qlan is k0_qlan)
