@@ -72,21 +72,6 @@ from .switching import (
 )
 
 
-def _guarded(fn):
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except InternalAssertionError as exc:
-            _fail(3, "internal_assertion", exc)
-        except CapacityError as exc:
-            _fail(2, "capacity", exc)
-        except ValidationError as exc:
-            _fail(1, "validation", exc)
-
-    return wrapper
-
-
 def _fail(code: int, kind: str, exc: Exception) -> None:
     sys.stdout.flush()  # what a command printed comes before its error line
     print(json.dumps({"error": {"kind": kind, "message": str(exc)}}, sort_keys=True), file=sys.stderr)
@@ -256,8 +241,8 @@ def _switch(scenario_ref: str, case: str | None, retain: str | None, k0_name: st
 
 scenario_option = click.option("--scenario", "scenario_ref", required=True,
                                help="Scenario file path, or the name of a bundled scenario.")
-out_option = click.option("--out", "out_dir", default="out", show_default=True,
-                          type=click.Path(file_okay=False), help="Output directory.")
+out_option = click.option("--out", default="out", show_default=True,
+                          type=click.Path(file_okay=False, path_type=Path), help="Output directory.")
 case_option = click.option("--case", type=click.Choice(["I", "II"]), default=None,
                            help="Override the augmentation case.")
 retain_option = click.option("--retain", default=None,
@@ -298,7 +283,16 @@ class _PrintedHelp:
 
 
 class _Command(_PrintedHelp, click.Command):
-    pass
+    def invoke(self, ctx: click.Context):
+        """Run the command; a package error exits with its code and one JSON line."""
+        try:
+            return super().invoke(ctx)
+        except InternalAssertionError as exc:
+            _fail(3, "internal_assertion", exc)
+        except CapacityError as exc:
+            _fail(2, "capacity", exc)
+        except ValidationError as exc:
+            _fail(1, "validation", exc)
 
 
 class _Group(_PrintedHelp, click.Group):
@@ -327,8 +321,7 @@ def main() -> None:
 @k0_option
 @format_option("json", "csv", "dot")
 @click.option("--oracle", is_flag=True, help="Also certify the run with the state-vector oracle.")
-@_guarded
-def cmd_complement(scenario_ref, out_dir, case, retain, k0_name, fmt, oracle):
+def cmd_complement(scenario_ref, out, case, retain, k0_name, fmt, oracle):
     """Run the super-node measurement pipeline and write the switched graph."""
     sc, g, aug, final, records = _switch(scenario_ref, case, retain, k0_name)
     matches = None
@@ -344,17 +337,13 @@ def cmd_complement(scenario_ref, out_dir, case, retain, k0_name, fmt, oracle):
         reports["result_graph.dot"] = to_dot(final)
         reports["input_graph.dot"] = to_dot(g)
     if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["endpoint_a", "endpoint_b"])
-        writer.writerows(sorted(edges_as_names(final)))
-        reports["result_edges.csv"] = buf.getvalue()
+        reports["result_edges.csv"] = _csv(["endpoint_a", "endpoint_b"], sorted(edges_as_names(final)))
     summary = {
         "scenario": sc.name or scenario_ref,
         "case": sc.case,
         "qlan1": sc.n1,
         "qlan2": sc.n2,
-        "retained": list(sc.retain),
+        "retained": list(dict.fromkeys(sc.retain)),  # the switch holds a set
         "k0": records[0].special_neighbor.name,
         "measurements": len(records),
         "result_edges": final.edge_count,
@@ -365,7 +354,6 @@ def cmd_complement(scenario_ref, out_dir, case, retain, k0_name, fmt, oracle):
         report = verify_pipeline(aug.graph, records, final)
         # complement has no clock in its reports: the oracle's wall time is blank
         reports["verification.json"] = _json_report(dict(report.to_json(), wall_time_s=None))
-    out = Path(out_dir)
     _write_reports(out, reports)
     if oracle and not report.passed:
         raise InternalAssertionError(
@@ -388,8 +376,7 @@ def cmd_complement(scenario_ref, out_dir, case, retain, k0_name, fmt, oracle):
 @normalize_option
 @click.option("--corrupt", is_flag=True,
               help="Negative control: toggle one edge in the claimed graph before verifying.")
-@_guarded
-def cmd_verify(scenario_ref, out_dir, case, retain, k0_name, normalize, corrupt):
+def cmd_verify(scenario_ref, out, case, retain, k0_name, normalize, corrupt):
     """Replay the pipeline on the state-vector oracle over every outcome branch."""
     _, _, aug, final, records = _switch(scenario_ref, case, retain, k0_name)
     claimed = final
@@ -402,7 +389,7 @@ def cmd_verify(scenario_ref, out_dir, case, retain, k0_name, normalize, corrupt)
     report = verify_pipeline(aug.graph, records, claimed)
     wall = None if normalize else time.perf_counter() - t0
     payload = dict(report.to_json(), wall_time_s=wall)
-    _write_reports(Path(out_dir), {"verification.json": _json_report(payload)})
+    _write_reports(out, {"verification.json": _json_report(payload)})
     for b in report.branches:
         print(f"branch {b.outcome_string}: fidelity {b.fidelity:.12f} "
               f"{'pass' if b.passed else 'FAIL'}")
@@ -421,8 +408,7 @@ def cmd_verify(scenario_ref, out_dir, case, retain, k0_name, normalize, corrupt)
 @retain_option
 @format_option("json", "csv")
 @normalize_option
-@_guarded
-def cmd_compare(scenario_ref, out_dir, seed, case, retain, fmt, normalize):
+def cmd_compare(scenario_ref, out, seed, case, retain, fmt, normalize):
     """Run both strategies on one scenario and write the side-by-side report."""
     sc = _apply_overrides(_resolve_scenario(scenario_ref), case, retain, seed)
     t0 = time.perf_counter()
@@ -434,8 +420,8 @@ def cmd_compare(scenario_ref, out_dir, seed, case, retain, fmt, normalize):
     payload["wall_time_s"] = None if normalize else wall
     reports = {"comparison.json": _json_report(payload)}
     if fmt == "csv":
-        reports["comparison.csv"] = _comparison_csv([_sweep_row(0, sc.seed, sc, report)])
-    out = Path(out_dir)
+        row = _sweep_row(0, sc.seed, sc, report)
+        reports["comparison.csv"] = _csv(row.keys(), [row.values()])
     _write_reports(out, reports)
     width = max(len(a["axis"]) for a in report.axes)
     print(f"{'':{width}}  {'TQR':34}  Complement")
@@ -482,11 +468,11 @@ def _sweep_row(index: int, seed: int, sc: Scenario, report) -> dict:
     }
 
 
-def _comparison_csv(rows: list[dict]) -> str:
-    """One CSV row per :func:`_sweep_row`, its keys in order as the header."""
+def _csv(header, rows) -> str:
+    """A CSV report: the ``header`` row, then ``rows``, each line ending in a newline."""
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=list(rows[0]), lineterminator="\n")
-    writer.writeheader()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
     writer.writerows(rows)
     return buf.getvalue()
 
@@ -499,8 +485,7 @@ def _comparison_csv(rows: list[dict]) -> str:
 @click.option("--n1", type=int, default=3, show_default=True)
 @click.option("--n2", type=int, default=4, show_default=True)
 @normalize_option
-@_guarded
-def cmd_sweep(out_dir, count, seed, n1, n2, normalize):
+def cmd_sweep(out, count, seed, n1, n2, normalize):
     """Batch-compare seeded random scenarios; one CSV row per scenario."""
     if count < 1:
         raise ValidationError(f"sweep count must be >= 1, got {count}")
@@ -518,9 +503,8 @@ def cmd_sweep(out_dir, count, seed, n1, n2, normalize):
         entry["seed"] = sc_seed
         reports.append(entry)
     wall = time.perf_counter() - t0
-    out = Path(out_dir)
     _write_reports(out, {
-        "sweep.csv": _comparison_csv(rows),
+        "sweep.csv": _csv(rows[0].keys(), [r.values() for r in rows]),
         "sweep.json": _json_report({
             "master_seed": seed,
             "count": count,

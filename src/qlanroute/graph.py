@@ -95,15 +95,14 @@ vertex_sort_key = attrgetter("sort_key")
 
 def client(qlan: int | Qlan, index: int) -> LabeledVertex:
     """Client vertex ``<qlan>.<index>`` with a 1-based index."""
-    q = qlan if isinstance(qlan, Qlan) else Qlan(qlan)
     if index < 1:
         raise ValidationError(f"client indices are 1-based, got {index}")
-    return LabeledVertex(q, index)
+    return LabeledVertex(Qlan(qlan), index)
 
 
 def super_node(qlan: int | Qlan) -> LabeledVertex:
     """The super-node ``s<qlan>``: index 0 of its QLAN."""
-    return LabeledVertex(qlan if isinstance(qlan, Qlan) else Qlan(qlan), 0)
+    return LabeledVertex(Qlan(qlan), 0)
 
 
 def vertex_from_name(name: str) -> LabeledVertex:
@@ -434,13 +433,11 @@ def graph_to_json(g: InterQlanGraph) -> dict:
     equal as the name-pair lists, and ``cli._json_report`` writes them, but
     ``json.dumps`` needs ``list(...)`` of each.
     """
-    for q in Qlan:
-        got = [v.index for v in g.clients(q)]
-        if got != list(range(1, len(got) + 1)):
-            raise ValidationError(
-                f"QLAN {q.value} client indices {got} are not contiguous from 1; "
-                "this graph has no serialized form"
-            )
+    if g.clients() != _edgeless(g.n1, g.n2).order:
+        raise ValidationError(
+            f"clients {[v.name for v in g.clients()]} are not contiguous from 1 in each QLAN; "
+            "this graph has no serialized form"
+        )
     # supers come last in the order, so an edge touches one exactly when
     # its second endpoint is a super
     clients = g.client_mask()
@@ -465,12 +462,7 @@ def to_dot(g: InterQlanGraph) -> str:
     """DOT export with one visual class per QLAN and a distinct super style."""
     lines = ["graph interqlan {"]
     for v in g.order:
-        if v.is_super:
-            style = _DOT_STYLE["super"]
-        elif v.qlan is Qlan.Q1:
-            style = _DOT_STYLE["q1"]
-        else:
-            style = _DOT_STYLE["q2"]
+        style = _DOT_STYLE["super" if v.is_super else f"q{v.qlan.value}"]
         lines.append(f'  "{v.name}" [{style}];')
     for u, v in edges_as_names(g):
         lines.append(f'  "{u}" -- "{v}";')

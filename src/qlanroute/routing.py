@@ -193,12 +193,13 @@ def find_path(topo: PhysicalTopology, src: str, dst: str) -> list[str]:
 
     Returns [] when src and dst are disconnected.
     """
-    for end in (src, dst):
-        if end not in topo._index:
-            raise UnknownVertexError(f"node {end!r} is not in the topology")
-    if src == dst:
+    try:
+        s, d = topo._index[src], topo._index[dst]
+    except KeyError as exc:
+        raise UnknownVertexError(f"node {exc.args[0]!r} is not in the topology") from None
+    if s == d:
         return [src]
-    inner = topo._transits(topo._index[src], topo._index[dst])
+    inner = topo._transits(s, d)
     if inner is None:
         return []
     return [src, *(topo._names[i] for i in inner), dst]
@@ -285,17 +286,14 @@ def execute_complement(
     client graph, which :class:`AugmentedGraph` or the skip path checks.
     """
     known = {v.name: i for i, v in enumerate(g.order)}
-    resolved = []
-    for i, (s, d) in enumerate(reqs):
-        for name in (s, d):
-            if name not in known:
-                raise UnknownVertexError(f"request endpoint {name!r} is not a client of the graph")
-        resolved.append((i, known[s], known[d]))
+    try:
+        resolved = [(i, known[s], known[d]) for i, (s, d) in enumerate(reqs)]
+    except KeyError as exc:
+        raise UnknownVertexError(f"request endpoint {exc.args[0]!r} is not a client of the graph") from None
     if not resolved and not run_when_empty:
         validate_client_graph(g)
         return RoutingReport(COMPLEMENT, 0, 0, 0, (), (), {v.name: 0 for v in g.order})
-    retained = frozenset(retain)
-    aug = (augment_case1 if case is AugmentationCase.CASE_I else augment_case2)(g, retained)
+    aug = (augment_case1 if case is AugmentationCase.CASE_I else augment_case2)(g, retain)
     final, records = run_pipeline(aug)
     if final.order != g.order:
         raise InternalAssertionError("the switched graph does not keep the client order")

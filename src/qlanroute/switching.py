@@ -171,13 +171,12 @@ def run_pipeline(
 ) -> tuple[InterQlanGraph, list[MeasurementRecord]]:
     """The switch: X-measure s2 then s1 with the special neighbor ``k0``.
 
-    With no retained clients the result is exactly the complement of the
-    client base graph, in either case. Retained clients sit out: the
-    adjacency of non-retained pairs is complemented, and what happens at
-    retained-incident pairs is certified against the state-level oracle
-    rather than asserted here (the sweeps observe that retained clients
-    keep their original inter-links). ``k0`` defaults to
-    :func:`default_k0`; the output never depends on the choice.
+    The result keeps the base graph's clients, in either case: a cross
+    pair with neither end retained is complemented, a pair with a
+    retained end keeps its input adjacency, and no intra-QLAN edge
+    appears. With no retained clients that is exactly the complement of
+    the base graph. ``k0`` defaults to :func:`default_k0`; the output
+    never depends on the choice.
     """
     if k0 is None:
         k0 = default_k0(aug)

@@ -137,6 +137,20 @@ def test_complement_retain_override_changes_result(runner, tmp_path):
     assert summary["matches_declarative_complement"] is None
 
 
+@pytest.mark.parametrize("source", ["flag", "scenario"])
+def test_summary_lists_each_retained_client_once(runner, tmp_path, source):
+    # the switch holds the retained clients as a set; the summary names each
+    # once, in the order of first occurrence
+    names = ["2.2", "1.1", "2.2", "1.1"]
+    if source == "flag":
+        args = ("--scenario", write_scenario(tmp_path), "--retain", ",".join(names))
+    else:
+        args = ("--scenario", write_scenario(tmp_path, retain=names))
+    result = invoke(runner, "complement", *args, "--out", tmp_path / "out")
+    assert result.exit_code == 0, result.output
+    assert json.loads((tmp_path / "out" / "summary.json").read_text())["retained"] == ["2.2", "1.1"]
+
+
 def test_complement_k0_override(runner, tmp_path):
     result = invoke(runner, "complement", "--scenario", "fig2", "--out", tmp_path,
                     "--k0", "1.2")

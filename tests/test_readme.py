@@ -3,8 +3,13 @@
 from __future__ import annotations
 
 import re
+import shlex
 from pathlib import Path
 from types import ModuleType
+
+from click.testing import CliRunner
+
+from qlanroute.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -26,3 +31,15 @@ def test_the_top_level_exports_are_the_documented_ones():
         "ValidationError", "client_graph", "augment_case1", "augment_case2", "run_pipeline",
         "replay_records", "verify_pipeline",
     }
+
+
+def test_readme_cli_block_runs(tmp_path):
+    # each documented command, in process, with --out under a temporary directory;
+    # the --corrupt negative control is the one that must fail verification
+    lines = re.findall(r"^\$ (qlanroute .*)$", README.read_text(), flags=re.M)
+    assert len(lines) == 5
+    for k, line in enumerate(lines):
+        args = shlex.split(line, comments=True)[1:]
+        args[args.index("--out") + 1] = str(tmp_path / str(k))
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == (1 if "--corrupt" in args else 0), (line, result.output)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -307,8 +308,7 @@ def test_partial_switch_complements_exactly_the_non_retained_pairs(g, pick, case
     for a in g.clients(Qlan.Q1):
         for b in g.clients(Qlan.Q2):
             if retained in (a, b):
-                # observed behavior, certified by the oracle suite: retained
-                # clients keep their original adjacency
+                # the retained rule: retained clients keep their original adjacency
                 assert final.has_edge(a, b) == g.has_edge(a, b)
             else:
                 assert final.has_edge(a, b) != g.has_edge(a, b)
@@ -327,6 +327,47 @@ def test_partial_switch_with_one_retained_client_per_qlan():
                 expect = g if (a in retained or b in retained) else ref
                 assert final.has_edge(a, b) == expect.has_edge(a, b)
 
+
+
+def _retained_rule(g: InterQlanGraph, retained) -> InterQlanGraph:
+    """The partial switch in closed form: a cross pair with neither end
+    retained is complemented, a pair with a retained end keeps its input
+    adjacency, and no intra-QLAN edge appears."""
+    held = frozenset(retained)
+    return InterQlanGraph(g.order, [
+        (a, b) for a in g.clients(Qlan.Q1) for b in g.clients(Qlan.Q2)
+        if g.has_edge(a, b) != (a not in held and b not in held)
+    ])
+
+
+@pytest.mark.parametrize("n1, n2", [(n1, n2) for n1 in (1, 2, 3) for n2 in (1, 2, 3) if n1 + n2 <= 5])
+def test_partial_switch_follows_the_retained_rule_on_every_small_network(n1, n2):
+    # every inter-link set, every retained subset, both cases and every eligible k0
+    for g in all_client_graphs(n1, n2):
+        clients = g.clients()
+        for retained in itertools.chain.from_iterable(
+                itertools.combinations(clients, k) for k in range(len(clients) + 1)):
+            expect = _retained_rule(g, retained)
+            for case in AugmentationCase:
+                aug = AugmentedGraph(g, case, retained)
+                if not eligible_k0(aug):  # the k0 side is wholly retained
+                    with pytest.raises(ValidationError, match="no valid k0"):
+                        run_pipeline(aug)
+                for k0 in eligible_k0(aug):
+                    assert run_pipeline(aug, k0)[0] == expect, (g, retained, case, k0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(g=client_graphs(max_n1=12, max_n2=12), data=st.data())
+def test_partial_switch_follows_the_retained_rule_with_several_retained_per_qlan(g, data):
+    # each QLAN keeps a client out of the retained set, so a k0 always exists
+    retained = set()
+    for q in Qlan:
+        side = g.clients(q)
+        retained |= data.draw(st.sets(st.sampled_from(side), max_size=len(side) - 1), label=f"retained {q.name}")
+    aug = AugmentedGraph(g, data.draw(st.sampled_from(AugmentationCase), label="case"), retained)
+    k0 = data.draw(st.sampled_from(eligible_k0(aug)), label="k0")
+    assert run_pipeline(aug, k0)[0] == _retained_rule(g, retained)
 
 # -- records, replay, traces ---------------------------------------------------
 
