@@ -18,9 +18,15 @@ Conventions
   across runs. A projection drops one qubit and keeps the others in
   order, so states over one vertex set share one qubit order:
   :func:`fidelity` compares them as they are and rejects two orders.
-* ``amplitudes`` is a dense complex vector of length 2**n; qubit i owns
-  axis i of the (2,)*n reshape, i.e. bit i counted from the most
-  significant end.
+* ``amplitudes`` is a dense vector of length 2**n; qubit i owns axis i
+  of the (2,)*n reshape, i.e. bit i counted from the most significant
+  end. Every state the oracle builds is real (``float64``): |+>, the CZ
+  signs, the X projector, Z and the byproduct rotations
+  exp(-+i pi/4 Y) = (I -+ iY)/sqrt(2), with iY = [[0, 1], [-1, 0]], are
+  all real, so no imaginary part ever appears and a complex vector would
+  only double the memory traffic. :class:`QuantumState` keeps a
+  ``float64`` input as it is and still turns any other input into
+  ``complex``; every kernel takes either.
 * Tolerances: 1e-10 for norms, 1e-9 for fidelity assertions. Double
   precision throughout. Capacity is capped at 14 qubits.
 * Outcomes are forced, never sampled: :func:`verify_pipeline` walks the
@@ -42,7 +48,9 @@ and ``t[:, 1]`` are the halves where the qubit is 0 and 1. A projection
 returns ``t[:, 0] +- t[:, 1]`` normalised; a Z negates ``t[:, 1]`` of one
 copy in place; a Y rotation replaces both halves by their sum and
 difference and scales by 1/sqrt(2). A graph state is built from the
-adjacency rows by doubling once per qubit, without a pass per edge.
+adjacency rows by doubling once per qubit, without a pass per edge; the
+``(-1)**popcount`` sign table and the index array it reads are built once
+per qubit count, on first use, never at import.
 
 numpy is imported inside the functions that build or transform
 amplitudes, not at module level: the CLI imports this module for every
@@ -72,7 +80,9 @@ by the fidelity sweep in the test suite.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import TYPE_CHECKING, Sequence
 
 from .errors import CapacityError, InternalAssertionError, UnknownVertexError, ValidationError
@@ -98,7 +108,9 @@ class QuantumState:
     def __post_init__(self) -> None:
         import numpy as np
 
-        amps = np.asarray(self.amplitudes, dtype=complex)
+        amps = np.asarray(self.amplitudes)
+        if amps.dtype != np.float64:
+            amps = amps.astype(complex, copy=False)
         object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "qubit_order", tuple(self.qubit_order))
         n = len(self.qubit_order)
@@ -110,8 +122,8 @@ class QuantumState:
             raise ValidationError(
                 f"amplitude vector has length {amps.shape}, expected ({2 ** n},) for {n} qubits"
             )
-        norm = float(np.linalg.norm(amps))
-        if abs(norm - 1.0) > NORM_TOL:
+        norm = math.sqrt(np.vdot(amps, amps).real)
+        if not abs(norm - 1.0) <= NORM_TOL:  # also rejects a NaN norm
             raise ValidationError(f"state norm {norm} deviates from 1 beyond {NORM_TOL}")
 
     @property
@@ -123,6 +135,23 @@ class QuantumState:
             return self._axis[v]
         except KeyError:
             raise UnknownVertexError(f"vertex {v.name} is not live in this state") from None
+
+
+@lru_cache(maxsize=None)
+def _sign_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(-1)**popcount(x)`` and ``x`` for ``x`` below ``2**(n-1)``, the
+    tables an ``n``-qubit preparation doubles with: built on first use,
+    then kept read-only for every later state of ``n`` qubits."""
+    import numpy as np
+
+    parity_sign = np.ones(1 << n >> 1)  # doubled up to 2**(n-1)
+    size = 1
+    while size < len(parity_sign):
+        np.negative(parity_sign[:size], out=parity_sign[size:2 * size])
+        size *= 2
+    index = np.arange(len(parity_sign))
+    parity_sign.flags.writeable = index.flags.writeable = False
+    return parity_sign, index
 
 
 def prepare_graph_state(g: InterQlanGraph) -> QuantumState:
@@ -142,13 +171,8 @@ def prepare_graph_state(g: InterQlanGraph) -> QuantumState:
         raise CapacityError(
             f"{n} qubits exceed the {MAX_QUBITS}-qubit dense-vector capacity; use a smaller graph"
         )
-    parity_sign = np.ones(1 << n >> 1)  # (-1)**popcount(x), doubled up to 2**(n-1)
-    size = 1
-    while size < len(parity_sign):
-        np.negative(parity_sign[:size], out=parity_sign[size:2 * size])
-        size *= 2
-    index = np.arange(len(parity_sign))
-    psi = np.empty(1 << n, dtype=complex)
+    parity_sign, index = _sign_tables(n)
+    psi = np.empty(1 << n)
     psi[0] = 2 ** (-n / 2)
     size = 1
     for row in reversed(g.rows):

@@ -11,7 +11,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qlanroute.errors import (
@@ -47,6 +47,7 @@ from qlanroute.switching import (
     MeasurementRecord,
     augment_case1,
     augment_case2,
+    eligible_k0,
     measure_x,
     run_pipeline,
 )
@@ -108,6 +109,15 @@ def test_stabilizer_expectation_detects_wrong_graph():
     wrong = client_graph(1, 1)
     state = prepare_graph_state(wrong)
     assert stabilizer_expectation(state, g, client(1, 1)) != pytest.approx(1.0, abs=1e-3)
+
+
+def test_sign_tables_are_built_once_per_size_and_shared_read_only():
+    parity_sign, index = oracle._sign_tables(9)
+    assert oracle._sign_tables(9)[0] is parity_sign and oracle._sign_tables(9)[1] is index
+    assert parity_sign.tolist() == [(-1) ** bin(x).count("1") for x in range(256)]
+    assert index.tolist() == list(range(256))
+    with pytest.raises(ValueError):
+        parity_sign[0] = 0.0
 
 
 @settings(max_examples=150)
@@ -347,6 +357,24 @@ def test_quantum_state_validates_norm_and_order():
         QuantumState(np.array([1.0, 0, 0, 0]), (client(1, 1), client(1, 1)))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_quantum_state_rejects_a_non_finite_norm(bad):
+    # a NaN norm fails every comparison, so it must fail the check, not pass it
+    with pytest.raises(ValidationError, match="norm"):
+        QuantumState(np.array([bad, 0.0]), (client(1, 1),))
+    with pytest.raises(ValidationError, match="norm"):
+        QuantumState(np.array([bad, 0.0], dtype=complex), (client(1, 1),))
+
+
+def test_quantum_state_keeps_real_amplitudes_and_makes_the_rest_complex():
+    order = (client(1, 1),)
+    real = np.array([0.6, 0.8])
+    assert QuantumState(real, order).amplitudes is real
+    for amps in ([1, 0], np.array([1, 0], dtype=np.float32), [0.6 + 0j, 0.8j]):
+        assert QuantumState(amps, order).amplitudes.dtype == complex
+    assert prepare_graph_state(client_graph(2, 2, [(1, 2)])).amplitudes.dtype == np.float64
+
+
 def test_annotations_name_numpy_without_a_runtime_np_global():
     # numpy is imported inside the functions that use it; a type checker
     # reads ``np`` from the TYPE_CHECKING import, and no module global
@@ -419,9 +447,37 @@ def test_verify_branches_are_independent_of_each_other(augment):
     assert verify_pipeline(aug.graph, records, final) == full
 
 
+def _as_complex(g):
+    state = prepare_graph_state(g)
+    return QuantumState(state.amplitudes.astype(complex), state.qubit_order)
+
+
+@settings(max_examples=200, deadline=None)
+@given(client_graphs(max_n1=6, max_n2=6), st.sampled_from([augment_case1, augment_case2]),
+       st.booleans(), st.data())
+def test_real_and_complex_amplitudes_give_equal_reports(g, augment, corrupt, data):
+    # every operator of a verify is real; carrying the same amplitudes as
+    # complex must not move a single bit of any fidelity
+    aug = augment(g, data.draw(st.sets(st.sampled_from(g.clients()))))
+    assume(eligible_k0(aug))
+    final, records = run_pipeline(aug)
+    claimed = final
+    if corrupt:  # the CLI's --corrupt: toggle the edge between the first client of each QLAN
+        edges = final.edges ^ {make_edge(client(1, 1), client(2, 1))}
+        claimed = InterQlanGraph(frozenset(final.order), edges)
+    real = verify_pipeline(aug.graph, records, claimed)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(oracle, "prepare_graph_state", _as_complex)
+        as_complex = verify_pipeline(aug.graph, records, claimed)
+    assert real == as_complex
+    assert [b.fidelity.hex() for b in real.branches] == [b.fidelity.hex() for b in as_complex.branches]
+    assert real.passed is not corrupt
+
+
 def test_verify_shares_the_first_measurement_between_branches(monkeypatch):
     # each corrected state after the first measurement feeds both branches
-    # that start with its outcome: 2 + 4 projections and corrections, not 8
+    # that start with its outcome: 2 + 4 projections and corrections, not 8;
+    # the input and the claimed graph are each prepared once
     g = random_client_graph(random.Random(5), 3, 3)
     aug = augment_case1(g)
     final, records = run_pipeline(aug)
@@ -433,11 +489,11 @@ def test_verify_shares_the_first_measurement_between_branches(monkeypatch):
             return fn(*args)
         return wrapper
 
-    monkeypatch.setattr(oracle, "project_x", counted(project_x))
-    monkeypatch.setattr(oracle, "apply_x_corrections", counted(apply_x_corrections))
+    for fn in (prepare_graph_state, project_x, apply_x_corrections):
+        monkeypatch.setattr(oracle, fn.__name__, counted(fn))
     report = verify_pipeline(aug.graph, records, final)
     assert report.passed and len(report.branches) == 4
-    assert calls == {"project_x": 6, "apply_x_corrections": 6}
+    assert calls == {"prepare_graph_state": 2, "project_x": 6, "apply_x_corrections": 6}
 
 
 def test_verify_evaluates_each_byproduct_once(monkeypatch):
