@@ -8,25 +8,22 @@ of the rule output with fidelity 1 on every outcome branch.
 
 Conventions
 -----------
-* A :class:`QuantumState` is its ``amplitudes`` and its ``qubit_order``;
-  a qubit's axis is its position in the order, also kept in a dict: a
-  verify looks up about 40 axes, and ``tuple.index`` is about 15 times
-  slower per lookup.
-* Qubit ``i`` of a prepared state is vertex ``g.order[i]``, the graph's
-  canonical order (row-major by (qlan, index), super-nodes last), and the
-  order is recorded on every state so amplitude vectors are comparable
-  across runs. A projection drops one qubit and keeps the others in
-  order, so states over one vertex set share one qubit order:
-  :func:`fidelity` compares them as they are and rejects two orders.
-* ``amplitudes`` is a dense vector of length 2**n; qubit i owns axis i
-  of the (2,)*n reshape, i.e. bit i counted from the most significant
-  end. Every state the oracle builds is real (``float64``): |+>, the CZ
-  signs, the X projector, Z and the byproduct rotations
+* A state is a plain amplitude vector, and a graph owns its qubit
+  order: qubit ``i`` of a state of ``g`` is vertex ``g.order[i]``, the
+  canonical order (row-major by (qlan, index), super-nodes last).
+  :func:`project_x` and :func:`apply_x_corrections` take that graph
+  beside the vector and find each axis with ``g.position(v)``. A
+  projection drops one qubit and keeps the others in order, so the
+  result is a state of the post-measurement graph, whose order is the
+  pre-measurement order without the measured vertex.
+* A vector has length 2**n; qubit i owns axis i of the (2,)*n reshape,
+  i.e. bit i counted from the most significant end. Every state the
+  oracle builds is real (``float64``): |+>, the CZ signs, the X
+  projector, Z and the byproduct rotations
   exp(-+i pi/4 Y) = (I -+ iY)/sqrt(2), with iY = [[0, 1], [-1, 0]], are
   all real, so no imaginary part ever appears and a complex vector would
-  only double the memory traffic. :class:`QuantumState` keeps a
-  ``float64`` input as it is and still turns any other input into
-  ``complex``; every kernel takes either.
+  only double the memory traffic. The kernels take a complex vector as
+  well.
 * Tolerances: 1e-10 for norms, 1e-9 for fidelity assertions. Double
   precision throughout. Capacity is capped at 14 qubits.
 * Outcomes are forced, never sampled: :func:`verify_pipeline` walks the
@@ -35,15 +32,21 @@ Conventions
   their first outcomes by construction: the corrected state after the
   first measurement feeds both branches that start with its outcome, so
   the four branches of a switch take 6 projections, not 8.
+* :func:`verify_pipeline` checks the states once, where they meet the
+  claim: the claimed graph must have the replayed output's order, and
+  every leaf and the claimed graph's state must have norm 1 within 1e-10
+  (a NaN norm fails too). A branch passes on a fidelity of at least
+  1 - 1e-9, a one-sided test, so without the norm check a kernel that
+  scaled a state up could pass it.
 * A :class:`VerificationReport` is a value: its branches, no clock and no
-  stored verdict. A branch passes when its fidelity is within 1e-9 of 1,
-  so a report cannot claim more than its numbers, and two verifications
-  of one run compare equal. The CLI times the call and writes the time.
+  stored verdict. A branch's verdict is read from its fidelity, so a
+  report cannot claim more than its numbers, and two verifications of
+  one run compare equal. The CLI times the call and writes the time.
 
 Kernels
 -------
 Every single-qubit step reads the contiguous view
-``t = amplitudes.reshape(2**axis, 2, rest)`` of qubit ``axis``: ``t[:, 0]``
+``t = psi.reshape(2**axis, 2, rest)`` of qubit ``axis``: ``t[:, 0]``
 and ``t[:, 1]`` are the halves where the qubit is 0 and 1. A projection
 returns ``t[:, 0] +- t[:, 1]`` normalised; a Z negates ``t[:, 1]`` of one
 copy in place; a Y rotation replaces both halves by their sum and
@@ -62,14 +65,19 @@ After an X measurement on vertex a with special neighbor k0, with
 neighborhoods N taken in the pre-measurement graph, the post-projection
 state is returned to graph-state form by:
 
-    outcome +1:  exp(-i pi/4 Y_k0)  then  Z_b for b in N(a) \\ (N(k0) u {k0})
-    outcome -1:  exp(+i pi/4 Y_k0)  then  Z_b for b in N(k0) \\ (N(a) u {a})
+    outcome +1:  Z_b for b in N(a) \\ (N(k0) u {k0}),  and exp(-i pi/4 Y_k0)
+    outcome -1:  Z_b for b in N(k0) \\ (N(a) u {a}),   and exp(+i pi/4 Y_k0)
 
+k0 is never a Z target (the +1 set excludes it, and the -1 set lies in
+N(k0)), so every operator acts on its own qubit and they all commute.
 Each Z-target set is one mask over the pre-measurement adjacency rows,
-``row(a) & ~row(k0) & ~bit(k0)`` for +1 and the mirror for -1, listed in
-bit order, which is the canonical order. A verification evaluates the
-table once per (measurement, outcome); that one list feeds both the
-branch's correction note and :func:`apply_x_corrections`.
+``row(a) & ~row(k0) & ~bit(k0)`` for +1 and the mirror for -1.
+:func:`x_correction_ops` lists the Z targets in bit order, which is the
+canonical order, and the rotation last; :func:`apply_x_corrections`
+applies them in that order, and a branch's correction note in
+``verification.json`` reads in it. A verification evaluates the table
+once per (measurement, outcome); that one list feeds both the note and
+the corrections.
 
 This is the standard local-byproduct table for graph-state X measurements
 (Hein, Duer, Eisert, Raussendorf, Van den Nest, Briegel, "Entanglement in
@@ -80,12 +88,11 @@ by the fidelity sweep in the test suite.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING, Sequence
 
-from .errors import CapacityError, InternalAssertionError, UnknownVertexError, ValidationError
+from .errors import CapacityError, InternalAssertionError, ValidationError
 from .graph import InterQlanGraph, LabeledVertex, bit_indices
 from .switching import MeasurementRecord, measure_x
 
@@ -95,46 +102,6 @@ if TYPE_CHECKING:
 MAX_QUBITS = 14
 NORM_TOL = 1e-10
 FIDELITY_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class QuantumState:
-    """Dense amplitude vector over the live vertices of a graph."""
-
-    amplitudes: np.ndarray
-    qubit_order: tuple[LabeledVertex, ...]
-    _axis: dict[LabeledVertex, int] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        import numpy as np
-
-        amps = np.asarray(self.amplitudes)
-        if amps.dtype != np.float64:
-            amps = amps.astype(complex, copy=False)
-        object.__setattr__(self, "amplitudes", amps)
-        object.__setattr__(self, "qubit_order", tuple(self.qubit_order))
-        n = len(self.qubit_order)
-        axis = dict(zip(self.qubit_order, range(n)))
-        if len(axis) != n:
-            raise ValidationError("qubit_order must map distinct vertices to qubits")
-        object.__setattr__(self, "_axis", axis)
-        if amps.shape != (2**n,):
-            raise ValidationError(
-                f"amplitude vector has length {amps.shape}, expected ({2 ** n},) for {n} qubits"
-            )
-        norm = math.sqrt(np.vdot(amps, amps).real)
-        if not abs(norm - 1.0) <= NORM_TOL:  # also rejects a NaN norm
-            raise ValidationError(f"state norm {norm} deviates from 1 beyond {NORM_TOL}")
-
-    @property
-    def n(self) -> int:
-        return len(self.qubit_order)
-
-    def qubit_index(self, v: LabeledVertex) -> int:
-        try:
-            return self._axis[v]
-        except KeyError:
-            raise UnknownVertexError(f"vertex {v.name} is not live in this state") from None
 
 
 @lru_cache(maxsize=None)
@@ -154,7 +121,7 @@ def _sign_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
     return parity_sign, index
 
 
-def prepare_graph_state(g: InterQlanGraph) -> QuantumState:
+def prepare_graph_state(g: InterQlanGraph) -> np.ndarray:
     """|+>^n followed by one CZ per edge; qubit ``i`` is ``g.order[i]``.
 
     Amplitude ``x`` is ``2**(-n/2)`` times -1 per edge with both ends set
@@ -180,14 +147,14 @@ def prepare_graph_state(g: InterQlanGraph) -> QuantumState:
         later = int(f"{row:0{n}b}"[::-1], 2) & (size - 1)
         np.multiply(psi[:size], parity_sign[index[:size] & later], out=psi[size:2 * size])
         size *= 2
-    return QuantumState(psi, g.order)
+    return psi
 
 
-def project_x(state: QuantumState, v: LabeledVertex, outcome: int) -> QuantumState:
-    """Projective X measurement on ``v`` with its ``outcome`` forced; removes
-    the measured qubit.
+def project_x(psi: np.ndarray, g: InterQlanGraph, v: LabeledVertex, outcome: int) -> np.ndarray:
+    """Projective X measurement on ``v`` of a state ``psi`` of ``g``, with its
+    ``outcome`` forced; removes the measured qubit.
 
-    On the view ``t = amplitudes.reshape(2**axis, 2, rest)`` the forced
+    On the view ``t = psi.reshape(2**axis, 2, rest)`` the forced
     branch ``(t + outcome * X_v t) / 2`` is ``h / 2`` in the half where
     ``v`` is 0 and ``outcome * h / 2`` in the other, with
     ``h = t[:, 0] + outcome * t[:, 1]``: the measured qubit sits in a
@@ -197,8 +164,7 @@ def project_x(state: QuantumState, v: LabeledVertex, outcome: int) -> QuantumSta
 
     if outcome not in (+1, -1):
         raise ValidationError(f"forced outcome must be +1 or -1, got {outcome}")
-    axis = state.qubit_index(v)
-    t = state.amplitudes.reshape(1 << axis, 2, -1)
+    t = psi.reshape(1 << g.position(v), 2, -1)
     reduced = t[:, 0] + t[:, 1] if outcome == +1 else t[:, 0] - t[:, 1]
     norm = float(np.linalg.norm(reduced))
     if norm < NORM_TOL * np.sqrt(2):  # the branch itself has norm ``norm / sqrt(2)``
@@ -207,8 +173,7 @@ def project_x(state: QuantumState, v: LabeledVertex, outcome: int) -> QuantumSta
             "this cannot happen for a non-isolated vertex of a graph state"
         )
     reduced /= norm
-    order = state.qubit_order[:axis] + state.qubit_order[axis + 1:]
-    return QuantumState(reduced.reshape(-1), order)
+    return reduced.reshape(-1)
 
 
 def x_correction_ops(
@@ -243,20 +208,21 @@ def describe_corrections(ops: Sequence[tuple[str, LabeledVertex]]) -> str:
 
 
 def apply_x_corrections(
-    state: QuantumState, ops: Sequence[tuple[str, LabeledVertex]]
-) -> QuantumState:
-    """Apply the byproduct operators ``ops`` so the state is a graph state again.
+    psi: np.ndarray, g: InterQlanGraph, ops: Sequence[tuple[str, LabeledVertex]]
+) -> np.ndarray:
+    """Apply the byproduct operators ``ops`` to a copy of the state ``psi`` of
+    ``g``, in list order, so it is a graph state again.
 
     With ``ops = x_correction_ops(g_pre, v, k0, outcome)`` applied to what
-    ``project_x(state, v, outcome)`` left, the corrected state equals the
-    graph state of the X-measurement graph rule applied to ``g_pre`` at
-    ``v`` with special neighbor ``k0``, up to global phase.
+    ``project_x(psi, g_pre, v, outcome)`` left, and ``g`` the graph that
+    ``measure_x(g_pre, v, k0)`` returns, the corrected state equals the
+    graph state of ``g`` up to global phase.
     """
     import numpy as np
 
-    amps = state.amplitudes.copy()
+    amps = psi.copy()
     for kind, target in ops:
-        t = amps.reshape(1 << state.qubit_index(target), 2, -1)
+        t = amps.reshape(1 << g.position(target), 2, -1)
         low, high = t[:, 0], t[:, 1]
         if kind == "z":
             high *= -1
@@ -268,25 +234,14 @@ def apply_x_corrections(
             update(high, low, out=high)
             low[...] = new_low
             amps *= 1 / np.sqrt(2)  # not sqrt(0.5), one ulp above: the golden reports use this
-    return QuantumState(amps, state.qubit_order)
+    return amps
 
 
-def fidelity(a: QuantumState, b: QuantumState) -> float:
-    """|<a|b>| of two states over the same qubits in the same order.
-
-    Every state built from a graph has the graph's canonical qubit order,
-    so states over one vertex set are never permuted against each other.
-    Equal orders are the one check: they mean one dimension and one vertex
-    set.
-    """
+def fidelity(a: np.ndarray, b: np.ndarray) -> float:
+    """|<a|b>| of two state vectors over the same qubits."""
     import numpy as np
 
-    if a.qubit_order != b.qubit_order:
-        raise ValidationError(
-            f"states order their qubits differently: dimension {a.n} vs {b.n}, "
-            f"vertex sets {[v.name for v in a.qubit_order]} vs {[v.name for v in b.qubit_order]}"
-        )
-    return float(abs(np.vdot(a.amplitudes, b.amplitudes)))
+    return float(abs(np.vdot(a, b)))
 
 
 # -- pipeline verification ----------------------------------------------
@@ -382,13 +337,23 @@ def verify_pipeline(
     both outcomes and corrected, so the level after measurement ``k`` holds
     the 2**(k+1) corrected states, ``+`` before ``-``. Branches share the
     steps of their common first outcomes by construction, so two
-    measurements take 6 projections, not 8. Every leaf is compared against
-    the graph state of ``claimed``; success means every branch reaches
-    fidelity 1 within 1e-9. A ``g`` over the 14-qubit capacity raises
-    :class:`CapacityError` from :func:`prepare_graph_state`, before any
-    amplitude is allocated.
+    measurements take 6 projections, not 8. Each projection reads its
+    axes from the record's pre graph and each correction from its post
+    graph; the replay has proved that these chain. Every leaf is compared
+    against the graph state of ``claimed``, which must have the replayed
+    output's vertex order, and each of these states must have norm 1;
+    success means every branch reaches fidelity 1 within 1e-9. A ``g`` over the 14-qubit
+    capacity raises :class:`CapacityError` from
+    :func:`prepare_graph_state`, before any amplitude is allocated.
     """
-    replay_records(g, pipeline)
+    import numpy as np
+
+    out = replay_records(g, pipeline)
+    if claimed.order != out.order:
+        raise ValidationError(
+            f"the claimed graph has vertices {[v.name for v in claimed.order]}, "
+            f"the pipeline leaves {[v.name for v in out.order]}"
+        )
     level = [((), prepare_graph_state(g))]  # (outcomes so far, corrected state)
     target = prepare_graph_state(claimed)
     # the byproducts depend only on (measurement, outcome): evaluate each once
@@ -398,14 +363,18 @@ def verify_pipeline(
             ops = x_correction_ops(r.pre_graph, r.measured_vertex, r.special_neighbor, s)
             byproducts[k, s] = ops, f"{r.measured_vertex.name}:{s:+d} -> {describe_corrections(ops)}"
     for k, r in enumerate(pipeline):
-        v = r.measured_vertex
-        level = [(combo + (s,), apply_x_corrections(project_x(state, v, s), byproducts[k, s][0]))
-                 for combo, state in level for s in (+1, -1)]
+        pre, post, v = r.pre_graph, r.post_graph, r.measured_vertex
+        level = [(combo + (s,), apply_x_corrections(project_x(psi, pre, v, s), post, byproducts[k, s][0]))
+                 for combo, psi in level for s in (+1, -1)]
+    for psi in [target] + [psi for _, psi in level]:
+        norm = float(np.linalg.norm(psi))
+        if not abs(norm - 1.0) <= NORM_TOL:  # also catches a NaN norm
+            raise InternalAssertionError(f"a state of norm {norm}, not 1, reached the fidelity test")
     return VerificationReport(tuple(
         BranchResult(
             outcomes=combo,
-            fidelity=fidelity(state, target),
+            fidelity=fidelity(psi, target),
             corrections=tuple(byproducts[k, s][1] for k, s in enumerate(combo)),
         )
-        for combo, state in level
+        for combo, psi in level
     ))

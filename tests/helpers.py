@@ -22,7 +22,6 @@ from qlanroute.graph import (
     make_edge,
     super_node,
 )
-from qlanroute.oracle import QuantumState
 from qlanroute.routing import PhysicalTopology
 from qlanroute.scenario import Scenario, scenario_graph
 
@@ -99,26 +98,30 @@ def plain_graphs(draw, max_vertices: int = 10) -> InterQlanGraph:
 
 
 @st.composite
-def random_states(draw, max_qubits: int = 10) -> QuantumState:
-    """A normalised complex state on 1..max_qubits qubits, Gaussian amplitudes."""
+def random_states(draw, max_qubits: int = 10) -> tuple[np.ndarray, InterQlanGraph]:
+    """A normalised complex state on 1..max_qubits qubits, Gaussian
+    amplitudes, and the graph ``client_graph(n, 0)`` that orders its qubits."""
     n = draw(st.integers(min_value=1, max_value=max_qubits))
     rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
     amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
-    return QuantumState(amps / np.linalg.norm(amps), tuple(client(1, i) for i in range(1, n + 1)))
+    return amps / np.linalg.norm(amps), client_graph(n, 0)
 
 
 # -- independent references ----------------------------------------------------
+#
+# A state is an amplitude vector; the graph passed beside it orders its
+# qubits, qubit i being vertex g.order[i].
 
 
-def tensor(state: QuantumState) -> np.ndarray:
+def tensor(psi: np.ndarray) -> np.ndarray:
     """The amplitudes as a (2,)*n tensor, qubit i on axis i."""
-    return state.amplitudes.reshape((2,) * state.n)
+    return psi.reshape((2,) * (psi.size.bit_length() - 1))
 
 
-def apply_pauli(state: QuantumState, kind: str, v: LabeledVertex) -> QuantumState:
+def apply_pauli(psi: np.ndarray, g: InterQlanGraph, kind: str, v: LabeledVertex) -> np.ndarray:
     """Apply a single-qubit Pauli (kind 'X' or 'Z') to vertex v."""
-    axis = state.qubit_index(v)
-    t = tensor(state)
+    axis = g.position(v)
+    t = tensor(psi)
     if kind == "Z":
         t = t.copy()
         idx: list = [slice(None)] * t.ndim
@@ -128,10 +131,10 @@ def apply_pauli(state: QuantumState, kind: str, v: LabeledVertex) -> QuantumStat
         t = np.flip(t, axis=axis)
     else:
         raise ValueError(f"unknown Pauli kind {kind!r}")
-    return QuantumState(t.reshape(-1), state.qubit_order)
+    return t.reshape(-1)
 
 
-def reference_prepare_graph_state(g: InterQlanGraph) -> QuantumState:
+def reference_prepare_graph_state(g: InterQlanGraph) -> np.ndarray:
     """|+>^n on the (2,)*n tensor, then one strided sign flip per edge (CZ)."""
     n = len(g.order)
     psi = np.full((2,) * n, 2 ** (-n / 2), dtype=complex)
@@ -141,20 +144,21 @@ def reference_prepare_graph_state(g: InterQlanGraph) -> QuantumState:
         idx[i] = 1
         idx[j] = 1
         psi[tuple(idx)] *= -1
-    return QuantumState(psi.reshape(-1), g.order)
+    return psi.reshape(-1)
 
 
-def reference_project_x(state: QuantumState, v: LabeledVertex, outcome: int) -> QuantumState:
+def reference_project_x(psi: np.ndarray, g: InterQlanGraph, v: LabeledVertex,
+                        outcome: int) -> np.ndarray:
     """The whole branch ``(t + outcome * X_v t) / 2`` built with ``np.flip``,
     renormalised, with the measured qubit's 0 slice kept."""
-    axis = state.qubit_index(v)
-    t = tensor(state)
+    axis = g.position(v)
+    t = tensor(psi)
     flipped = np.flip(t, axis=axis)
     branch = (t + flipped if outcome == +1 else t - flipped) / 2
     idx: list = [slice(None)] * branch.ndim
     idx[axis] = 0
     reduced = branch[tuple(idx)] / float(np.linalg.norm(branch)) * np.sqrt(2)
-    return QuantumState(reduced.reshape(-1), tuple(u for u in state.qubit_order if u != v))
+    return reduced.reshape(-1)
 
 
 _REFERENCE_ROTATIONS = {
@@ -163,17 +167,17 @@ _REFERENCE_ROTATIONS = {
 }
 
 
-def reference_apply_x_corrections(state: QuantumState, ops) -> QuantumState:
+def reference_apply_x_corrections(psi: np.ndarray, g: InterQlanGraph, ops) -> np.ndarray:
     """Each Z through :func:`apply_pauli`, each rotation as a 2x2 matrix
     contracted into the qubit's tensor axis."""
     for kind, target in ops:
         if kind == "z":
-            state = apply_pauli(state, "Z", target)
+            psi = apply_pauli(psi, g, "Z", target)
         else:
-            axis = state.qubit_index(target)
-            t = np.tensordot(_REFERENCE_ROTATIONS[kind], tensor(state), axes=([1], [axis]))
-            state = QuantumState(np.moveaxis(t, 0, axis).reshape(-1), state.qubit_order)
-    return state
+            axis = g.position(target)
+            t = np.tensordot(_REFERENCE_ROTATIONS[kind], tensor(psi), axes=([1], [axis]))
+            psi = np.moveaxis(t, 0, axis).reshape(-1)
+    return psi
 
 
 def other(q: Qlan) -> Qlan:
@@ -204,16 +208,17 @@ def complement_neighborhood(g: InterQlanGraph, v: LabeledVertex) -> tuple[Labele
     return tuple(order[k] for k in bit_indices(g.client_mask(other(v.qlan)) & ~row))
 
 
-def stabilizer_expectation(state: QuantumState, g: InterQlanGraph, v: LabeledVertex) -> float:
-    """<psi| X_v prod_{u in N(v)} Z_u |psi>, real part.
+def stabilizer_expectation(psi: np.ndarray, g: InterQlanGraph, v: LabeledVertex) -> float:
+    """<psi| X_v prod_{u in N(v)} Z_u |psi>, real part, for a state ``psi``
+    whose qubits ``g`` orders.
 
-    Equals 1 for every vertex exactly when ``state`` is the graph state
+    Equals 1 for every vertex exactly when ``psi`` is the graph state
     of ``g``; independent of how the state was prepared or corrected.
     """
-    phi = apply_pauli(state, "X", v)
+    phi = apply_pauli(psi, g, "X", v)
     for u in neighbors(g, v):
-        phi = apply_pauli(phi, "Z", u)
-    return float(np.real(np.vdot(state.amplitudes, phi.amplitudes)))
+        phi = apply_pauli(phi, g, "Z", u)
+    return float(np.real(np.vdot(psi, phi)))
 
 
 def complement_pairs_of(sc: Scenario) -> tuple[tuple[str, str], ...]:

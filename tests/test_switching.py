@@ -6,7 +6,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qlanroute.errors import ValidationError
@@ -368,6 +368,32 @@ def test_partial_switch_follows_the_retained_rule_with_several_retained_per_qlan
     aug = AugmentedGraph(g, data.draw(st.sampled_from(AugmentationCase), label="case"), retained)
     k0 = data.draw(st.sampled_from(eligible_k0(aug)), label="k0")
     assert run_pipeline(aug, k0)[0] == _retained_rule(g, retained)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n1=st.integers(1, 64), n2=st.integers(1, 64), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_switch_adjacency_of_a_pair_is_decided_by_its_five_vertex_subgraph(n1, n2, seed, data):
+    # locality: tau at x commutes with taking the subgraph induced on a set
+    # holding x, and so does deleting a vertex of that set; so whether u and
+    # v end adjacent depends only on the subgraph of aug.graph induced by
+    # {u, v, s1, s2, k0}, 4 vertices when u or v is k0
+    rng = random.Random(seed)
+    g = random_client_graph(rng, n1, n2, rng.choice([0.2, 0.5, 0.8]))
+    retained = {v for v in g.clients() if rng.random() < 0.2}
+    aug = AugmentedGraph(g, data.draw(st.sampled_from(AugmentationCase), label="case"), retained)
+    assume(eligible_k0(aug))
+    k0 = data.draw(st.sampled_from(eligible_k0(aug)), label="k0")
+    final, _ = run_pipeline(aug, k0)
+    clients = g.clients()
+    for u, v in [rng.sample(clients, 2) for _ in range(12)] + [(k0, rng.choice(clients))]:
+        if u == v:
+            continue
+        keep = frozenset({u, v, S1, S2, k0})
+        sub = InterQlanGraph(keep, [(a, b) for a, b in itertools.combinations(keep, 2)
+                                    if aug.graph.has_edge(a, b)])
+        h, _ = measure_x(sub, S2, k0)
+        h, _ = measure_x(h, S1, k0)
+        assert h.has_edge(u, v) == final.has_edge(u, v), (u, v, k0)
 
 # -- records, replay, traces ---------------------------------------------------
 
