@@ -238,9 +238,12 @@ def apply_x_corrections(
 
 
 def fidelity(a: np.ndarray, b: np.ndarray) -> float:
-    """|<a|b>| of two state vectors over the same qubits."""
+    """|<a|b>| of two state vectors over the same qubits; vectors of two
+    lengths hold two qubit counts and raise :class:`ValidationError`."""
     import numpy as np
 
+    if a.shape != b.shape:
+        raise ValidationError(f"states of dimension {a.size} and {b.size} cannot be compared")
     return float(abs(np.vdot(a, b)))
 
 

@@ -288,6 +288,67 @@ def test_fidelity_plus_versus_zero():
     assert fidelity(plus, zero) == pytest.approx(0.7071067811865476, abs=1e-12)
 
 
+def test_fidelity_rejects_mismatched_states():
+    a = prepare_graph_state(client_graph(1, 1))
+    b = prepare_graph_state(client_graph(1, 2))
+    with pytest.raises(ValidationError, match="dimension"):
+        fidelity(a, b)
+    # client_graph(2, 0) has a's size over other vertices; a vector carries
+    # no vertices, so the graph is refused where verify_pipeline meets the claim
+    aug = augment_case1(client_graph(1, 1, [(1, 1)]))
+    final, records = run_pipeline(aug)
+    assert final.order == client_graph(1, 1).order
+    with pytest.raises(ValidationError, match="vertices"):
+        verify_pipeline(aug.graph, records, client_graph(2, 0))
+
+
+def _zero_state(order) -> np.ndarray:
+    """|0...0> over the qubits ``order``: a vector of length 2**len(order)."""
+    amps = np.zeros(2 ** len(order))
+    amps[0] = 1
+    return amps
+
+
+@pytest.mark.parametrize("a, b", [
+    ((client(1, 1),), (client(1, 1), client(2, 1))),
+    ((client(2, 1),), (client(1, 1), client(2, 1))),
+    ((client(1, 1), client(2, 1)), (client(1, 1), client(2, 1), super_node(1))),
+    ((), (client(1, 1),)),
+])
+def test_fidelity_rejects_states_of_different_sizes(a, b):
+    with pytest.raises(ValidationError):
+        fidelity(_zero_state(a), _zero_state(b))
+    with pytest.raises(ValidationError):
+        fidelity(_zero_state(b), _zero_state(a))
+
+
+def test_fidelity_rejects_states_over_different_vertex_sets():
+    # one size, other vertices: two projections of one state on different
+    # qubits. The vectors cannot tell them apart; the graphs that order them
+    # can, and verify_pipeline refuses a claim over the other vertex set
+    g = client_graph(1, 2, [(1, 1), (1, 2)])
+    s = prepare_graph_state(g)
+    a_graph, a_record = measure_x(g, client(2, 1), client(1, 1))
+    b_graph, _ = measure_x(g, client(2, 2), client(1, 1))
+    a, b = project_x(s, g, client(2, 1), +1), project_x(s, g, client(2, 2), +1)
+    assert a.shape == b.shape and set(a_graph.order) != set(b_graph.order)
+    with pytest.raises(ValidationError):
+        verify_pipeline(g, [a_record], b_graph)
+    # pipelines that leave x, against claims over y of the same size
+    pair = client_graph(1, 1, [(1, 1)])
+    one, one_record = measure_x(pair, client(2, 1), client(1, 1))
+    aug = augment_case1(pair)
+    two, two_records = run_pipeline(aug)
+    for start, records, out, x, y in [
+        (pair, [one_record], one, (client(1, 1),), (client(2, 1),)),
+        (aug.graph, two_records, two,
+         (client(1, 1), client(2, 1)), (super_node(1), super_node(2))),
+    ]:
+        assert out.order == x
+        with pytest.raises(ValidationError):
+            verify_pipeline(start, records, InterQlanGraph(frozenset(y), frozenset()))
+
+
 def _switched(links=((1, 1),)):
     """A 2+2 Case I switch: the augmented graph, its output, its records
     and the CLI's --corrupt claim (the 1.1-2.1 edge toggled)."""
